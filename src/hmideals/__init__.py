@@ -12,7 +12,7 @@ from .monomial import (
     unit_ideal,
     zero_ideal,
 )
-from .rat import Rat, fmt_rat, parse_rat, rat
+from .rat import fmt_rat, parse_rat
 from .vspectrum import HMIdeal, VSpectrum, spectrum_from_step
 from .constructors import (
     nc_ideal,
@@ -60,10 +60,8 @@ __all__ = [
     "principal_ideal",
     "unit_ideal",
     "zero_ideal",
-    "Rat",
     "fmt_rat",
     "parse_rat",
-    "rat",
     "HMIdeal",
     "VSpectrum",
     "spectrum_from_step",

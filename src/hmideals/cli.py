@@ -23,7 +23,6 @@ from .graded import (
     nontriviality_data,
     symbolic_power_exponent,
 )
-from .monomial import format_monomial, var_names
 from .rat import fmt_rat, parse_rat
 from .resolution import (
     ResolutionData,
@@ -81,17 +80,28 @@ def build_spectrum(klass: str, params, cutoff=None):
 
 
 def _ideal_str(ideal) -> str:
-    names = var_names(ideal.n)
-    if ideal.is_zero():
-        return "(0)"
-    return ", ".join(format_monomial(g, names) for g in reversed(ideal.gens))
+    """The generators as MonIdeal prints them, without the parentheses."""
+    return str(ideal)[1:-1]
+
+
+def _write_json(data, out):
+    json.dump(data, out, indent=2)
+    out.write("\n")
+
+
+def _write_record(rec: dict, as_json: bool, out):
+    """A flat record as indented JSON or as `key: value` lines."""
+    if as_json:
+        _write_json(rec, out)
+    else:
+        for key, value in rec.items():
+            out.write(f"{key}: {value}\n")
 
 
 def cmd_spectrum(args, out):
     spect = build_spectrum(args.klass, _parse_params(args.params), args.cutoff)
     if args.json:
-        json.dump(spect.to_json(), out, indent=2)
-        out.write("\n")
+        _write_json(spect.to_json(), out)
         return 0
     out.write(f"cutoff: {fmt_rat(spect.cutoff)}\n")
     out.write("beta | minimal generators\n")
@@ -108,21 +118,13 @@ def cmd_ideal(args, out):
         t = max(0, math.ceil(-alpha) - 1)
         cutoff = _first_jump_estimate(args.klass, params) + 3 + args.k + t
     spect = build_spectrum(args.klass, params, cutoff)
-    if alpha >= -1:
-        hmi = spect.hmi(args.k, alpha)
-        f_power = 0
-    else:
-        f_exps = None
-        if args.klass == "power":
-            f_exps = (params[0],)
-        twisted = spect.hmi_twisted(args.k, alpha, f_exps)
-        hmi, f_power = twisted.ideal, twisted.f_power
+    f_exps = (params[0],) if args.klass == "power" else None
+    twisted = spect.hmi_twisted(args.k, alpha, f_exps)
     if args.json:
-        json.dump({"f_power": f_power, "ideal": hmi.to_json()}, out, indent=2)
-        out.write("\n")
+        _write_json(twisted.to_json(), out)
         return 0
-    prefix = f"f^{f_power} * " if f_power else ""
-    out.write(prefix + _ideal_str(hmi) + "\n")
+    prefix = f"f^{twisted.f_power} * " if twisted.f_power else ""
+    out.write(prefix + _ideal_str(twisted.ideal) + "\n")
     return 0
 
 
@@ -157,12 +159,7 @@ def cmd_criteria(args, out):
         rec = {"threshold": fmt_rat(containment_threshold(args.codim, args.m))}
     else:  # indep-conditions
         rec = {"degree": independent_conditions_degree(args.n, args.m, args.d)}
-    if args.json:
-        json.dump(rec, out, indent=2)
-        out.write("\n")
-    else:
-        for key, value in rec.items():
-            out.write(f"{key}: {value}\n")
+    _write_record(rec, args.json, out)
     return 0
 
 
@@ -198,6 +195,8 @@ def cmd_resolution(args, out):
         if expected is not None:
             rec["expected"] = fmt_rat(expected)
     elif args.action == "weight-level":
+        if args.alpha is None:
+            raise ValueError("weight-level needs --alpha")
         rec = {"level": max_weight_level(res, parse_rat(args.alpha))}
     else:  # lc-center
         centers = minimal_lc_center(res)
@@ -206,12 +205,7 @@ def cmd_resolution(args, out):
                 sorted(res.components[i].label for i in j) for j in centers
             )
         }
-    if args.json:
-        json.dump(rec, out, indent=2)
-        out.write("\n")
-    else:
-        for key, value in rec.items():
-            out.write(f"{key}: {value}\n")
+    _write_record(rec, args.json, out)
     return 0
 
 

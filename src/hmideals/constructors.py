@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import CutoffExceededError
-from .monomial import MonIdeal, unit_ideal
+from .monomial import MonIdeal, squarefree_ideal, unit_ideal
 from .rat import floor_minus_eps
 from .vspectrum import HMIdeal, VSpectrum, spectrum_from_step
 
@@ -175,24 +175,7 @@ def nc_ideal(m_vec, k: int, alpha) -> HMIdeal:
         raise ValueError("alpha must be <= 0")
     if k < 0:
         raise ValueError("k must be a natural number")
-    n = len(m_vec)
-    exps = []
-    for m in m_vec:
-        if m == 0:
-            exps.append(0)
-        else:
-            exps.append(max(0, k * m - k + floor_minus_eps(-alpha * m)))
-    support = [i for i in range(n) if m_vec[i] > 0]
-    sing_gens = []
-    for i in support:
-        g = [0] * n
-        for j in support:
-            if j != i:
-                g[j] = 1
-        sing_gens.append(tuple(g))
-    sing = MonIdeal(n, tuple(sing_gens))
-    ideal = (sing ** k).scale(tuple(exps))
-    return HMIdeal(0, ideal)
+    return HMIdeal(0, _nc_formula(m_vec, k, alpha))
 
 
 def power_scale_check(m_base, p: int, k: int, alpha):
@@ -211,24 +194,20 @@ def power_scale_check(m_base, p: int, k: int, alpha):
     if p < 1:
         raise ValueError("p must be >= 1")
     lhs = nc_ideal(tuple(p * m for m in m_base), k, alpha).ideal
-    n = len(m_base)
-    rhs_exps = []
-    for m in m_base:
-        if m == 0:
-            rhs_exps.append(0)
-            continue
-        base = k * m - k + floor_minus_eps(-p * alpha * m)
-        rhs_exps.append(max(0, base + (p - 1) * k * m))
-    support = [i for i in range(n) if m_base[i] > 0]
-    sing_gens = []
-    for i in support:
-        g = [0] * n
-        for j in support:
-            if j != i:
-                g[j] = 1
-        sing_gens.append(tuple(g))
-    rhs = (MonIdeal(n, tuple(sing_gens)) ** k).scale(tuple(rhs_exps))
+    rhs = _nc_formula(m_base, k, p * alpha, twist=(p - 1) * k)
     return lhs, rhs
+
+
+def _nc_formula(m_vec, k: int, alpha: Fraction, twist: int = 0) -> MonIdeal:
+    """The nc_ideal formula times f^twist, the twist folded into the
+    exponents k*m - k + floor(-alpha*m - eps) before they are clamped at 0."""
+    exps = tuple(
+        max(0, k * m - k + floor_minus_eps(-alpha * m) + twist * m) if m else 0
+        for m in m_vec
+    )
+    support = [i for i, m in enumerate(m_vec) if m > 0]
+    sing = squarefree_ideal(len(m_vec), support, len(support) - 1)
+    return (sing ** k).scale(exps)
 
 
 def qdivisor_ideal(coeffs, k: int, alpha) -> MonIdeal:

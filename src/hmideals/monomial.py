@@ -215,6 +215,16 @@ def max_ideal_power(n: int, q: int) -> MonIdeal:
     return MonIdeal(n, tuple(compositions(q, n)))
 
 
+def squarefree_ideal(n: int, support, degree: int) -> MonIdeal:
+    """Ideal of the squarefree monomials of the given degree in the support
+    variables.  It cuts out the (s - degree + 1)-fold intersections of the s
+    support hyperplanes; degree 0 gives the unit ideal."""
+    return MonIdeal(n, tuple(
+        tuple(int(i in chosen) for i in range(n))
+        for chosen in itertools.combinations(support, degree)
+    ))
+
+
 def compositions(total: int, parts: int):
     """All tuples of naturals of the given length summing to total."""
     if parts == 1:

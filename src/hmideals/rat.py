@@ -1,8 +1,8 @@
 """Exact rational helpers on top of fractions.Fraction.
 
 All indices, weights and thresholds in this package are Fractions; no
-floating point appears anywhere.  The two epsilon-free rounding helpers
-encode "round after nudging by an infinitesimal" by exact case analysis
+floating point appears anywhere.  The epsilon-free rounding helper
+encodes "round after nudging by an infinitesimal" by exact case analysis
 on integrality.
 """
 
@@ -10,19 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Rat = Fraction
-
-
-def rat(p, q=None) -> Fraction:
-    """Build a Fraction from ints, a "p/q" string, or pass one through."""
-    if q is not None:
-        return Fraction(p, q)
-    if isinstance(p, Fraction):
-        return p
-    if isinstance(p, int):
-        return Fraction(p)
-    return Fraction(str(p))
 
 
 def parse_rat(text: str) -> Fraction:
@@ -49,9 +36,3 @@ def floor_minus_eps(x: Fraction) -> int:
     """floor(x - eps) for infinitesimal eps > 0: x-1 at integers, floor(x) else."""
     n = math.floor(x)
     return n - 1 if x == n else n
-
-
-def ceil_plus_eps(x: Fraction) -> int:
-    """ceil(x + eps) for infinitesimal eps > 0: x+1 at integers, ceil(x) else."""
-    n = math.ceil(x)
-    return n + 1 if x == n else n

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import HypothesisError
 from .graded import StrataData, min_exponent_upper
-from .monomial import MonIdeal, unit_ideal
+from .monomial import MonIdeal, squarefree_ideal
 from .constructors import nc_ideal
 
 
@@ -51,8 +51,11 @@ class ResolutionData:
 
     @classmethod
     def from_json(cls, data: dict) -> "ResolutionData":
+        if not isinstance(data, dict):
+            raise ValueError("resolution data must be a JSON object")
         comps = tuple(
-            Component(c["label"], int(c["e"]), int(c["k"]), bool(c.get("exceptional", True)))
+            Component(c["label"], _json_int(c, "e"), _json_int(c, "k"),
+                      bool(c.get("exceptional", True)))
             for c in data["components"]
         )
         maxints = [tuple(int(i) for i in j) for j in data.get("maximal_intersections", [])]
@@ -62,6 +65,13 @@ class ResolutionData:
     def load(cls, path) -> "ResolutionData":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+def _json_int(component: dict, key: str) -> int:
+    value = component[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"component {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _downward_close(maximal, n_comps):
@@ -159,29 +169,9 @@ def weighted_nc_local(m_vec, alpha, ell: int) -> MonIdeal:
         raise ValueError("alpha must lie in [-1, 0)")
     if ell < -1:
         raise ValueError("ell must be >= -1")
-    n = len(m_vec)
     base = nc_ideal(m_vec, 0, alpha).ideal
-    integral = [i for i in range(n) if m_vec[i] > 0 and (alpha * m_vec[i]).denominator == 1]
-    s = len(integral)
-    fold = ell + 2
-    if fold > s:
-        factor = unit_ideal(n)
-    else:
-        deg = s - fold + 1
-        gens = []
-        for subset in _subsets(integral, deg):
-            g = [0] * n
-            for i in subset:
-                g[i] = 1
-            gens.append(tuple(g))
-        factor = MonIdeal(n, tuple(gens))
-    return base * factor
-
-
-def _subsets(items, size):
-    import itertools
-
-    return itertools.combinations(items, size)
+    integral = [i for i, m in enumerate(m_vec) if m > 0 and (alpha * m).denominator == 1]
+    return base * squarefree_ideal(len(m_vec), integral, max(0, len(integral) - ell - 1))
 
 
 # -- built-in families ------------------------------------------------------

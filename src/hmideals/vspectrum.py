@@ -11,9 +11,11 @@ a power of the defining equation.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import CutoffExceededError
 from .monomial import INFINITE, MonIdeal, unit_ideal
@@ -42,53 +44,40 @@ class VSpectrum:
 
     # -- queries -------------------------------------------------------
 
-    def value_at(self, beta: Fraction) -> MonIdeal:
-        """Step-function value on the interval containing beta (right-closed)."""
-        if not 0 < beta <= self.cutoff:
-            raise CutoffExceededError(f"beta={beta} outside (0, {self.cutoff}]")
-        current = unit_ideal(self.n)
-        for b, ideal in self.jumps:
-            if beta > b:
-                current = ideal
-            else:
-                break
-        return current
+    def _lookup(self, beta: Fraction, strict: bool) -> MonIdeal:
+        """Value on the interval containing beta (right-closed), or with
+        strict the value just above beta; beta must lie in (0, cutoff], and
+        below the cutoff when strict."""
+        if not 0 < beta <= self.cutoff or (strict and beta == self.cutoff):
+            end = ")" if strict else "]"
+            raise CutoffExceededError(f"beta={beta} outside (0, {self.cutoff}{end})")
+        find = bisect.bisect_right if strict else bisect.bisect_left
+        i = find(self.jumps, beta, key=itemgetter(0))
+        return self.jumps[i - 1][1] if i else unit_ideal(self.n)
 
-    def value_after(self, beta: Fraction) -> MonIdeal:
-        """Value just above beta: the next interval's ideal."""
-        if not 0 < beta < self.cutoff:
-            raise CutoffExceededError(f"beta={beta} outside (0, {self.cutoff})")
-        current = unit_ideal(self.n)
-        for b, ideal in self.jumps:
-            if beta >= b:
-                current = ideal
-            else:
-                break
-        return current
-
-    def hmi(self, k: int, alpha: Fraction) -> MonIdeal:
-        """The ideal at level k and index alpha >= -1, via beta = k - alpha."""
+    def _index_lookup(self, k: int, alpha: Fraction, strict: bool) -> MonIdeal:
+        """_lookup at beta = k - alpha; the unit ideal when beta <= 0."""
         alpha = Fraction(alpha)
         if alpha < -1:
             raise ValueError("alpha < -1 requires the twisted form (hmi_twisted)")
         beta = k - alpha
-        if beta <= 0:
-            return unit_ideal(self.n)
-        if beta > self.cutoff:
-            raise CutoffExceededError(f"k - alpha = {beta} exceeds cutoff {self.cutoff}")
-        return self.value_at(beta)
+        return self._lookup(beta, strict) if beta > 0 else unit_ideal(self.n)
+
+    def value_at(self, beta: Fraction) -> MonIdeal:
+        """Step-function value on the interval containing beta (right-closed)."""
+        return self._lookup(beta, strict=False)
+
+    def value_after(self, beta: Fraction) -> MonIdeal:
+        """Value just above beta: the next interval's ideal."""
+        return self._lookup(beta, strict=True)
+
+    def hmi(self, k: int, alpha: Fraction) -> MonIdeal:
+        """The ideal at level k and index alpha >= -1, via beta = k - alpha."""
+        return self._index_lookup(k, alpha, strict=False)
 
     def hmi_lt(self, k: int, alpha: Fraction) -> MonIdeal:
         """The strict-index ideal, the value just above k - alpha."""
-        alpha = Fraction(alpha)
-        if alpha < -1:
-            raise ValueError("alpha < -1 requires the twisted form")
-        beta = k - alpha
-        if beta <= 0 or (self.jumps and beta < self.jumps[0][0]):
-            return unit_ideal(self.n)
-        if beta >= self.cutoff:
-            raise CutoffExceededError(f"k - alpha = {beta} is not below cutoff {self.cutoff}")
-        return self.value_after(beta)
+        return self._index_lookup(k, alpha, strict=True)
 
     def hmi_twisted(self, k: int, alpha: Fraction, f_exps=None) -> "HMIdeal":
         """Reduce alpha < -1 by periodicity: a twist by f^t with alpha + t in [-1, 0).

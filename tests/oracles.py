@@ -11,7 +11,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from hmideals.monomial import MonIdeal
+from hmideals.errors import CutoffExceededError
+from hmideals.monomial import MonIdeal, unit_ideal
 
 
 def howald_multiplier(m_vec, c):
@@ -64,3 +65,22 @@ def permute_ideal(ideal, perm):
     symmetry statements)."""
     gens = tuple(tuple(g[perm[i]] for i in range(ideal.n)) for g in ideal.gens)
     return MonIdeal(ideal.n, gens)
+
+
+def scan_value(spect, beta, strict=False):
+    """Filtration value at beta, or just above beta when strict, by a linear
+    scan of the jump list (the lookup the library used before bisection).
+
+    Raises CutoffExceededError unless 0 < beta <= cutoff, or beta < cutoff
+    when strict.
+    """
+    below_end = beta < spect.cutoff if strict else beta <= spect.cutoff
+    if not (0 < beta and below_end):
+        raise CutoffExceededError(f"beta={beta} outside the spectrum's range")
+    current = unit_ideal(spect.n)
+    for b, ideal in spect.jumps:
+        if beta > b or (strict and beta == b):
+            current = ideal
+        else:
+            break
+    return current

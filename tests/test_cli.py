@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from hmideals.cli import run
 
 
@@ -126,3 +128,28 @@ class TestExitCodes:
     def test_missing_file(self):
         code, _ = invoke("resolution", "--file", "/nonexistent.json", "lct")
         assert code == 2
+
+
+class TestInputErrors:
+    """Inputs that once ended in a traceback: exit 2 and one error line."""
+
+    def assert_one_error_line(self, capsys):
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_weight_level_without_alpha(self, capsys):
+        code, text = invoke("resolution", "--builtin", "secant(2)", "weight-level")
+        assert code == 2 and text == ""
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("data", [
+        {"components": [{"label": "E", "e": None, "k": 1}]},
+        {"components": [{"label": "E", "e": 2, "k": True}]},
+        [{"label": "E", "e": 2, "k": 1}],
+    ], ids=["e-null", "k-bool", "top-level-list"])
+    def test_malformed_resolution_file(self, tmp_path, capsys, data):
+        p = tmp_path / "res.json"
+        p.write_text(json.dumps(data))
+        code, text = invoke("resolution", "--file", str(p), "lct")
+        assert code == 2 and text == ""
+        self.assert_one_error_line(capsys)

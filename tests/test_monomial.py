@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -10,6 +11,7 @@ from hmideals.monomial import (
     max_ideal_power,
     mi_normalize,
     principal_ideal,
+    squarefree_ideal,
     unit_ideal,
     var_names,
     zero_ideal,
@@ -135,6 +137,21 @@ class TestDivisorial:
         a = I(2, (1, 0), (0, 1))
         assert a.divisorial_part() == (0, 0)
         assert a.strip_divisorial() == a
+
+
+class TestSquarefree:
+    @pytest.mark.parametrize("support,degree", [
+        ((0, 1, 2, 3), 2), ((0, 2, 3), 3), ((1, 3), 1), ((0, 1, 2), 0), ((0, 1), 3),
+    ])
+    def test_one_generator_per_subset(self, support, degree):
+        ideal = squarefree_ideal(4, support, degree)
+        assert len(ideal.gens) == math.comb(len(support), degree)
+        for g in ideal.gens:
+            assert sum(g) == degree and set(g) <= {0, 1}
+            assert all(g[i] == 0 for i in range(4) if i not in support)
+
+    def test_degree_zero_is_unit(self):
+        assert squarefree_ideal(3, (0, 2), 0) == unit_ideal(3)
 
 
 class TestSerialization:

@@ -1,6 +1,7 @@
 """Step-function semantics of the microlocal filtration container."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -12,8 +13,12 @@ from hmideals import (
     spectrum_diagonal,
     spectrum_from_step,
     spectrum_one_var,
+    spectrum_ordinary_fermat,
+    spectrum_thom_sebastiani,
     unit_ideal,
 )
+
+from oracles import scan_value
 
 
 def I(n, *gens):
@@ -121,6 +126,70 @@ class TestHmiLt:
 
     def test_matches_value_after(self, cusp):
         assert cusp.hmi_lt(1, 0) == cusp.value_after(1)
+
+
+LOOKUP_SPECTRA = {
+    "cusp": lambda: spectrum_diagonal((2, 3), F(13, 6)),
+    "node": lambda: spectrum_diagonal((2, 2), 4),
+    "2,3,5": lambda: spectrum_diagonal((2, 3, 5), F(61, 30)),
+    "fermat(3,3)": lambda: spectrum_ordinary_fermat(3, 3, 3),
+    "ts(3,4)": lambda: spectrum_thom_sebastiani(
+        spectrum_one_var(3, 4), spectrum_one_var(4, 4), F(19, 6)),
+}
+STEP = F(1, 24)
+
+
+@pytest.fixture(scope="module", params=sorted(LOOKUP_SPECTRA))
+def lookup_spectrum(request):
+    return LOOKUP_SPECTRA[request.param]()
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CutoffExceededError:
+        return CutoffExceededError
+
+
+def probes(v):
+    """Each jump, the cutoff and 0, and each of them shifted by +-STEP."""
+    centres = v.jumping_numbers() + [v.cutoff, F(0)]
+    return sorted({c + d for c in centres for d in (-STEP, 0, STEP)})
+
+
+class TestLookupOracle:
+    """The bisection lookups against the linear jump scan in tests/oracles.py."""
+
+    def test_value_lookups(self, lookup_spectrum):
+        v = lookup_spectrum
+        assert len(v.jumps) >= 2
+        for beta in probes(v):
+            assert outcome(v.value_at, beta) == outcome(scan_value, v, beta)
+            assert outcome(v.value_after, beta) == outcome(scan_value, v, beta, True)
+
+    def test_index_lookups(self, lookup_spectrum):
+        v = lookup_spectrum
+        unit = unit_ideal(v.n)
+        for beta in probes(v):
+            for k in range(4):
+                alpha = k - beta
+                if alpha < -1:
+                    continue
+                for strict, lookup in ((False, v.hmi), (True, v.hmi_lt)):
+                    want = unit if beta <= 0 else outcome(scan_value, v, beta, strict)
+                    assert outcome(lookup, k, alpha) == want
+
+    def test_edges_raise(self, lookup_spectrum):
+        v = lookup_spectrum
+        c = v.cutoff
+        k = math.ceil(c)  # so that alpha = k - beta >= -1 near the cutoff
+        edges = [
+            (v.value_at, F(0)), (v.value_at, c + STEP),
+            (v.value_after, F(0)), (v.value_after, c),
+            (v.hmi, k, k - c - STEP), (v.hmi_lt, k, k - c),
+        ]
+        for fn, *args in edges:
+            assert outcome(fn, *args) is CutoffExceededError
 
 
 class TestTwisted:
