@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -38,6 +37,7 @@ from .constructors import (
     spectrum_ordinary_fermat,
     spectrum_thom_sebastiani,
 )
+from .vspectrum import periodicity_twist
 
 
 def _parse_params(text: str):
@@ -111,12 +111,14 @@ def cmd_spectrum(args, out):
 
 
 def cmd_ideal(args, out):
+    if args.k < 0:
+        raise ValueError("k must be >= 0")
     params = _parse_params(args.params)
     alpha = parse_rat(args.alpha)
     cutoff = args.cutoff
     if cutoff is None:
-        t = max(0, math.ceil(-alpha) - 1)
-        cutoff = _first_jump_estimate(args.klass, params) + 3 + args.k + t
+        cutoff = (_first_jump_estimate(args.klass, params) + 3 + args.k
+                  + periodicity_twist(alpha))
     spect = build_spectrum(args.klass, params, cutoff)
     f_exps = (params[0],) if args.klass == "power" else None
     twisted = spect.hmi_twisted(args.k, alpha, f_exps)

@@ -8,6 +8,7 @@ enumeration is exact; cutoffs are explicit and never extrapolated.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -18,28 +19,18 @@ from .rat import floor_minus_eps
 from .vspectrum import HMIdeal, VSpectrum, spectrum_from_step
 
 
-def _rho(mu, m_vec) -> Fraction:
-    """Weight of a monomial for the diagonal divisor sum z_j^{m_j}.
-
-    For m_j = 1 the coordinate contributes mu_j + 1 (smooth factor: the
-    staircase term degenerates to zero), so that the one-variable m = 1
-    filtration jumps at 1, 2, ... with ideals (x), (x^2), ...
-    """
-    total = Fraction(0)
-    for mu_j, m_j in zip(mu, m_vec):
-        if m_j == 1:
-            total += mu_j + 1
-        else:
-            total += Fraction(mu_j + 1 + mu_j // (m_j - 1), m_j)
-    return total
-
-
 def spectrum_diagonal(m_vec, cutoff) -> VSpectrum:
     """Spectrum of the divisor z_1^{m_1} + ... + z_n^{m_n} up to the cutoff.
 
-    The filtration value just past beta is generated by the monomials of
-    weight >= next achieved weight; every achieved weight <= cutoff is a
-    genuine jump because the weight is strictly increasing coordinatewise.
+    A monomial z^mu has weight sum_j (mu_j + 1 + mu_j // (m_j - 1)) / m_j,
+    where a coordinate with m_j = 1 contributes mu_j + 1 (smooth factor: the
+    staircase term degenerates to zero), so that the one-variable m = 1
+    filtration jumps at 1, 2, ... with ideals (x), (x^2), ....  The value
+    just past beta is generated by the monomials of weight >= the next
+    achieved weight; every achieved weight <= cutoff is a genuine jump
+    because the weight is strictly increasing coordinatewise.  Weights are
+    scaled to integers by lcm(m_j), and the cost grows with the number of
+    jumps and minimal generators, not with a bounding box.
     """
     m_vec = tuple(int(m) for m in m_vec)
     if not m_vec or any(m < 1 for m in m_vec):
@@ -48,21 +39,88 @@ def spectrum_diagonal(m_vec, cutoff) -> VSpectrum:
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     n = len(m_vec)
-    # rho >= (mu_j + 1)/m_j bounds every minimal generator needed through
-    # the first achieved value past the cutoff.
-    box = [int(m * (cutoff + 1)) + 1 for m in m_vec]
-    weighted = [(
-        _rho(mu, m_vec), mu)
-        for mu in itertools.product(*(range(b + 1) for b in box))]
-    achieved = sorted({w for w, _ in weighted})
-    points = [w for w in achieved if w <= cutoff]
-    after = [w for w in achieved if w > cutoff]
-    points.append(after[0])  # certifies a jump sitting exactly at the cutoff
-    values = []
-    for beta in points:
-        gens = [mu for w, mu in weighted if w >= beta]
-        values.append(MonIdeal(n, tuple(gens)))
+    scale = math.lcm(*m_vec)
+    top = cutoff * scale
+    # Scaled weights of each coordinate at mu = 0, 1, ...: strictly
+    # increasing, >= scale * (mu + 1) / m, so they end past top.
+    tables = [
+        [scale * (mu + 1) if m == 1 else scale // m * (mu + 1 + mu // (m - 1))
+         for mu in range(int(cutoff * m) + 1)]
+        for m in m_vec
+    ]
+    # The last level is the first achieved weight past the cutoff: it
+    # certifies a jump sitting exactly at the cutoff.
+    levels = _truncated_sumset(tables, top)
+    points = [Fraction(level, scale) for level in levels]
+    values = [MonIdeal(n, _staircase(tables, level)) for level in levels]
     return spectrum_from_step(n, cutoff, points, values)
+
+
+def _truncated_sumset(tables, top) -> list:
+    """The achieved weights <= top in ascending order, then the least achieved
+    weight past top.
+
+    A partial sum is kept while it plus the least weights of the coordinates
+    still to come stays <= top; the first value that crosses gives a sum past
+    top with those coordinates at zero.  Each table ends past top, so every
+    scan crosses.
+    """
+    sums = {0}
+    rest = sum(table[0] for table in tables)
+    past = math.inf
+    for table in tables:
+        rest -= table[0]
+        grown = set()
+        for s in sums:
+            for v in table:
+                total = s + v + rest
+                if total > top:
+                    past = min(past, total)
+                    break
+                grown.add(s + v)
+        sums = grown
+    return sorted(sums) + [past]
+
+
+def _staircase(tables, level: int) -> tuple:
+    """Minimal exponent vectors of scaled weight >= level, in lex order.
+
+    For each prefix the last coordinate is the least that reaches the level;
+    a coordinate stops growing once the prefix with zeros after it reaches
+    the level (any larger value is divisible by that point).  A candidate is
+    kept iff lowering any nonzero coordinate by one drops it below the level;
+    the last coordinate is least by construction.  No level asked for exceeds
+    the least achieved weight past the cutoff, so tables that end past the
+    cutoff reach it.
+    """
+    n = len(tables)
+    rest = [0] * n  # least weight of the coordinates after j
+    for j in range(n - 2, -1, -1):
+        rest[j] = rest[j + 1] + tables[j + 1][0]
+    last = tables[-1]
+    mu = [0] * n
+    gens = []
+
+    def walk(j, partial):
+        if j == n - 1:
+            x = bisect.bisect_left(last, level - partial)
+            slack = partial + last[x] - level
+            for i in range(n - 1):
+                a = mu[i]
+                if a and tables[i][a] - tables[i][a - 1] <= slack:
+                    return
+            mu[j] = x
+            gens.append(tuple(mu))
+            return
+        table = tables[j]
+        for x, v in enumerate(table):
+            mu[j] = x
+            walk(j + 1, partial + v)
+            if partial + v + rest[j] >= level:
+                break
+
+    walk(0, 0)
+    return tuple(gens)
 
 
 def spectrum_one_var(m: int, cutoff) -> VSpectrum:
@@ -169,6 +227,8 @@ def nc_ideal(m_vec, k: int, alpha) -> HMIdeal:
     """
     m_vec = tuple(int(m) for m in m_vec)
     alpha = Fraction(alpha)
+    if any(m < 0 for m in m_vec):
+        raise ValueError("multiplicities must be >= 0")
     if not any(m > 0 for m in m_vec):
         raise ValueError("some multiplicity must be positive")
     if alpha > 0:

@@ -182,7 +182,13 @@ def _minimalize(gens):
     gens = sorted(set(tuple(int(x) for x in g) for g in gens))
     keep = []
     for g in gens:
-        if not any(divides(h, g) for h in keep if h != g):
+        for h in keep:
+            for a, b in zip(h, g):
+                if a > b:
+                    break
+            else:  # h divides g
+                break
+        else:
             keep.append(g)
     # A later generator never divides an earlier one in lex order unless
     # equal, so one pass suffices.

@@ -39,7 +39,12 @@ class ResolutionData:
     def __post_init__(self):
         if not self.components:
             raise ValueError("no components")
-        object.__setattr__(self, "lattice", _downward_close(self.lattice, len(self.components)))
+        n = len(self.components)
+        if len({c.label for c in self.components}) != n:
+            raise ValueError("component labels must be distinct")
+        if any(not 0 <= i < n for j in self.lattice or () for i in j):
+            raise ValueError(f"intersection index out of range 0..{n - 1}")
+        object.__setattr__(self, "lattice", _downward_close(self.lattice, n))
 
     @classmethod
     def build(cls, components, maximal_intersections=None):
@@ -53,13 +58,23 @@ class ResolutionData:
     def from_json(cls, data: dict) -> "ResolutionData":
         if not isinstance(data, dict):
             raise ValueError("resolution data must be a JSON object")
+        components = data["components"]
+        if not isinstance(components, list) or not all(isinstance(c, dict) for c in components):
+            raise ValueError("'components' must be a list of JSON objects")
+        if not all(isinstance(c["label"], str) for c in components):
+            raise ValueError("component 'label' must be a string")
+        if not all(isinstance(c.get("exceptional", True), bool) for c in components):
+            raise ValueError("component 'exceptional' must be true or false")
         comps = tuple(
-            Component(c["label"], _json_int(c, "e"), _json_int(c, "k"),
-                      bool(c.get("exceptional", True)))
-            for c in data["components"]
+            Component(c["label"], _json_int(c, "e"), _json_int(c, "k"), c.get("exceptional", True))
+            for c in components
         )
-        maxints = [tuple(int(i) for i in j) for j in data.get("maximal_intersections", [])]
-        return cls.build(comps, maxints or None)
+        maxints = data.get("maximal_intersections", [])
+        if not isinstance(maxints, list) or not all(
+            isinstance(j, list) and all(_is_int(i) for i in j) for j in maxints
+        ):
+            raise ValueError("'maximal_intersections' must be a list of lists of indices")
+        return cls.build(comps, [tuple(j) for j in maxints] or None)
 
     @classmethod
     def load(cls, path) -> "ResolutionData":
@@ -67,9 +82,13 @@ class ResolutionData:
             return cls.from_json(json.load(fh))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _json_int(component: dict, key: str) -> int:
     value = component[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ValueError(f"component {key!r} must be an integer, got {value!r}")
     return value
 
@@ -185,12 +204,23 @@ def _chain_resolution(pairs):
     return ResolutionData.build(comps)
 
 
-def builtin_family(name: str, *params) -> dict:
-    """Stratum and resolution data for the named divisor family.
+_FAMILY_FORMS = {
+    "hyperelliptic_theta": "hyperelliptic_theta(g)",
+    "bn_general_theta": "bn_general_theta(g)",
+    "determinantal": "determinantal(n)",
+    "secant": "secant(n)",
+    "cubic_threefold": "cubic_threefold",
+}
 
-    Names: hyperelliptic_theta(g), bn_general_theta(g), determinantal(n),
-    secant(n), cubic_threefold.
-    """
+
+def builtin_family(name: str, *params) -> dict:
+    """Stratum and resolution data for the named divisor family, written as
+    in _FAMILY_FORMS: one integer parameter or none."""
+    form = _FAMILY_FORMS.get(name)
+    if form is None:
+        raise ValueError(f"unknown family {name!r}")
+    if len(params) != ("(" in form):
+        raise ValueError(f"family {name!r} is written {form}")
     if name == "hyperelliptic_theta":
         (g,) = params
         if g < 3:
@@ -221,12 +251,8 @@ def builtin_family(name: str, *params) -> dict:
         strata = StrataData(tuple((m, 2 * m - 1) for m in range(2, n + 2)))
         res = _chain_resolution([(m, 2 * m - 2) for m in range(2, n + 2)])
         expected = Fraction(3, 2)
-    elif name == "cubic_threefold":
-        if params:
-            raise ValueError("cubic_threefold takes no parameters")
+    else:  # cubic_threefold
         strata = StrataData(((3, 5),))
         res = _chain_resolution([(3, 4)])
         expected = Fraction(5, 3)
-    else:
-        raise ValueError(f"unknown family {name!r}")
     return {"strata": strata, "resolution": res, "expected_min_exponent": expected}

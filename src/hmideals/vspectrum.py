@@ -86,7 +86,7 @@ class VSpectrum:
         into the ideal and f_power comes back 0.
         """
         alpha = Fraction(alpha)
-        t = max(0, math.ceil(-alpha) - 1)
+        t = periodicity_twist(alpha)
         ideal = self.hmi(k, alpha + t)
         if f_exps is not None and t > 0:
             folded = ideal.scale(tuple(t * e for e in f_exps))
@@ -148,6 +148,12 @@ class VSpectrum:
                 for j in data["jumps"]
             ),
         )
+
+
+def periodicity_twist(alpha: Fraction) -> int:
+    """Least t >= 0 with alpha + t >= -1: the power of f that hmi_twisted
+    splits off to bring the index into the range the spectrum stores."""
+    return max(0, math.ceil(-alpha) - 1)
 
 
 @dataclass(frozen=True)

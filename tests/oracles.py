@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from hmideals.errors import CutoffExceededError
 from hmideals.monomial import MonIdeal, unit_ideal
+from hmideals.vspectrum import spectrum_from_step
 
 
 def howald_multiplier(m_vec, c):
@@ -84,3 +85,32 @@ def scan_value(spect, beta, strict=False):
         else:
             break
     return current
+
+
+def box_spectrum_diagonal(m_vec, cutoff):
+    """Spectrum of z_1^{m_1} + ... + z_n^{m_n} up to the cutoff, by
+    enumerating every exponent vector of a bounding box with its Fraction
+    weight (the construction the library used before its staircase walk).
+
+    The weight of mu is sum_j (mu_j + 1 + mu_j // (m_j - 1)) / m_j, or
+    mu_j + 1 for m_j = 1.  Since it is >= (mu_j + 1)/m_j coordinatewise, the
+    box side m_j * (cutoff + 1) + 1 holds every minimal generator needed
+    through the first achieved weight past the cutoff.
+    """
+    m_vec = tuple(int(m) for m in m_vec)
+    cutoff = Fraction(cutoff)
+    n = len(m_vec)
+    box = [int(m * (cutoff + 1)) + 1 for m in m_vec]
+    coordinate = [
+        [Fraction(a + 1) if m == 1 else Fraction(a + 1 + a // (m - 1), m) for a in range(b + 1)]
+        for m, b in zip(m_vec, box)
+    ]
+    weighted = [
+        (sum(w[a] for w, a in zip(coordinate, mu)), mu)
+        for mu in itertools.product(*(range(b + 1) for b in box))
+    ]
+    achieved = sorted({w for w, _ in weighted})
+    points = [w for w in achieved if w <= cutoff]
+    points.append(min(w for w in achieved if w > cutoff))
+    values = [MonIdeal(n, tuple(mu for w, mu in weighted if w >= beta)) for beta in points]
+    return spectrum_from_step(n, cutoff, points, values)

@@ -49,6 +49,13 @@ class TestIdeal:
         assert code == 0
         assert "x^2, x*y, y^3" in text
 
+    def test_twisted_diagonal(self):
+        # alpha = -3/2 is read at alpha + 1 with one power of f split off
+        code, text = invoke(
+            "ideal", "--class", "diagonal", "--params", "2,3", "--k", "1", "--alpha=-3/2"
+        )
+        assert code == 0 and text == "f^1 * x, y^2\n"
+
     def test_twisted_power(self):
         code, text = invoke(
             "ideal", "--class", "power", "--params", "1", "--k", "0", "--alpha", "-2"
@@ -146,10 +153,33 @@ class TestInputErrors:
         {"components": [{"label": "E", "e": None, "k": 1}]},
         {"components": [{"label": "E", "e": 2, "k": True}]},
         [{"label": "E", "e": 2, "k": 1}],
-    ], ids=["e-null", "k-bool", "top-level-list"])
+        {"components": [1]},
+        {"components": 5},
+        {"components": [{"label": "E", "e": 2, "k": 1}], "maximal_intersections": [[None]]},
+        {"components": [{"label": "E", "e": 2, "k": 1}], "maximal_intersections": [[0, 7]]},
+        {"components": [{"label": 1, "e": 2, "k": 1}, {"label": "F", "e": 2, "k": 1}]},
+        {"components": [{"label": "E", "e": 2, "k": 1}, {"label": "E", "e": 3, "k": 1}]},
+        {"components": [{"label": "E", "e": 2, "k": 1, "exceptional": "false"}]},
+    ], ids=["e-null", "k-bool", "top-level-list", "component-not-object",
+            "components-not-list", "index-null", "index-out-of-range",
+            "label-not-string", "duplicate-label", "exceptional-string"])
     def test_malformed_resolution_file(self, tmp_path, capsys, data):
         p = tmp_path / "res.json"
         p.write_text(json.dumps(data))
         code, text = invoke("resolution", "--file", str(p), "lct")
         assert code == 2 and text == ""
         self.assert_one_error_line(capsys)
+
+    def test_negative_level(self, capsys):
+        code, text = invoke(
+            "ideal", "--class", "diagonal", "--params", "2,3", "--k", "-5", "--alpha", "0"
+        )
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == "error: k must be >= 0\n"
+
+    @pytest.mark.parametrize("builtin", ["hyperelliptic_theta", "hyperelliptic_theta()"])
+    def test_builtin_without_parameter(self, capsys, builtin):
+        code, text = invoke("resolution", "--builtin", builtin, "bounds")
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "hyperelliptic_theta(g)" in err

@@ -2,9 +2,11 @@
 cones over Fermat hypersurfaces, sums of functions in disjoint variables,
 normal crossing divisors and Q-divisors."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hmideals import (
     MonIdeal,
@@ -19,7 +21,7 @@ from hmideals import (
     unit_ideal,
 )
 
-from oracles import howald_multiplier
+from oracles import box_spectrum_diagonal, howald_multiplier
 
 
 def I(n, *gens):
@@ -75,6 +77,57 @@ class TestDiagonal:
             spectrum_diagonal((), 1)
         with pytest.raises(ValueError):
             spectrum_diagonal((0, 2), 1)
+
+    def test_five_quintics(self):
+        # The box enumeration does not finish on this input (about 5.1M
+        # lattice points); spectrum_ordinary_fermat(5, 5, 3) gives the same
+        # spectrum, but takes seconds.
+        v = spectrum_diagonal((5,) * 5, 3)
+        assert v.jumping_numbers() == [F(k, 5) for k in range(5, 16)]
+        assert [i for _, i in v.jumps[:4]] == [max_ideal_power(5, d) for d in (1, 2, 3, 4)]
+        assert [len(i.gens) for _, i in v.jumps] == [
+            5, 15, 35, 70, 106, 160, 230, 330, 475, 621, 815]
+
+
+def _first_jump(m_vec):
+    return sum(F(1, m) for m in m_vec)
+
+
+# Cutoffs relative to the first jump e = sum 1/m_j; e + 1 is a later jump.
+_CUTOFFS = {
+    "below": lambda e: e - F(1, 60),
+    "on": lambda e: e,
+    "past": lambda e: e + F(1, 60),
+    "one": lambda e: F(1),
+    "two": lambda e: F(2),
+    "on-next": lambda e: e + 1,
+}
+# For three variables the box oracle is too slow for every pair, so each
+# m_vec takes one of the cheaper kinds in turn.
+_CUTOFFS_3 = ("below", "on", "past", "one")
+
+
+class TestDiagonalOracle:
+    """The staircase kernel against the box enumeration it replaced."""
+
+    @pytest.mark.parametrize("kind", list(_CUTOFFS))
+    def test_one_and_two_variables(self, kind):
+        for n in (1, 2):
+            for m_vec in itertools.product(range(1, 6), repeat=n):
+                cutoff = _CUTOFFS[kind](_first_jump(m_vec))
+                assert spectrum_diagonal(m_vec, cutoff) == box_spectrum_diagonal(m_vec, cutoff)
+
+    def test_three_variables(self):
+        m_vecs = itertools.product(range(1, 6), repeat=3)
+        for i, m_vec in enumerate(m_vecs):
+            cutoff = _CUTOFFS[_CUTOFFS_3[i % len(_CUTOFFS_3)]](_first_jump(m_vec))
+            assert spectrum_diagonal(m_vec, cutoff) == box_spectrum_diagonal(m_vec, cutoff)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           st.fractions(min_value=F(1, 12), max_value=2, max_denominator=12))
+    def test_random_small(self, m_vec, cutoff):
+        assert spectrum_diagonal(m_vec, cutoff) == box_spectrum_diagonal(m_vec, cutoff)
 
 
 class TestFermatCone:
@@ -144,6 +197,10 @@ class TestNormalCrossing:
     def test_positive_alpha_rejected(self):
         with pytest.raises(ValueError):
             nc_ideal((1, 1), 1, F(1, 2))
+
+    def test_negative_multiplicity_rejected(self):
+        with pytest.raises(ValueError, match="multiplicities must be >= 0"):
+            nc_ideal((2, -1), 1, F(-1, 2))
 
 
 class TestPowerScale:
