@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -44,14 +45,28 @@ def _parse_params(text: str):
     return [int(p) for p in text.split(",") if p.strip()]
 
 
-def _first_jump_estimate(klass: str, params) -> Fraction:
-    if klass in ("diagonal", "ts"):
-        return sum(Fraction(1, m) for m in params)
-    if klass == "power":
-        return Fraction(1, params[0])
-    if klass == "fermat-cone":
-        return Fraction(params[0], params[1])
-    raise ValueError(f"unknown spectrum class {klass!r}")
+# Each class is a sum of powers: its --params form, least and most count.
+_CLASS_PARAMS = {
+    "diagonal": ("m1,m2,...", 1, math.inf),
+    "fermat-cone": ("n,m", 2, 2),
+    "ts": ("m1,m2,...", 2, math.inf),
+    "power": ("m", 1, 1),
+}
+
+
+def _exponents(klass: str, params) -> tuple:
+    """The exponents (m_1, ..., m_n) of the sum of powers the class names:
+    diagonal and ts list them, power m is (m,), fermat-cone n,m is (m,) * n."""
+    if klass not in _CLASS_PARAMS:
+        raise ValueError(f"unknown spectrum class {klass!r}")
+    form, least, most = _CLASS_PARAMS[klass]
+    if not least <= len(params) <= most or any(p < 1 for p in params):
+        raise ValueError(f"--class {klass} takes --params {form}, each >= 1")
+    return (params[1],) * params[0] if klass == "fermat-cone" else tuple(params)
+
+
+def _first_jump_estimate(m_vec) -> Fraction:
+    return sum(Fraction(1, m) for m in m_vec)
 
 
 def build_spectrum(klass: str, params, cutoff=None):
@@ -59,24 +74,20 @@ def build_spectrum(klass: str, params, cutoff=None):
 
     Default cutoff is the first jump plus 3.
     """
+    m_vec = _exponents(klass, params)
     if cutoff is None:
-        cutoff = _first_jump_estimate(klass, params) + 3
+        cutoff = _first_jump_estimate(m_vec) + 3
     if klass == "diagonal":
-        return spectrum_diagonal(params, cutoff)
+        return spectrum_diagonal(m_vec, cutoff)
     if klass == "power":
-        (m,) = params
-        return spectrum_one_var(m, cutoff)
+        return spectrum_one_var(m_vec[0], cutoff)
     if klass == "fermat-cone":
-        n, m = params
-        return spectrum_ordinary_fermat(n, m, cutoff)
-    if klass == "ts":
-        if len(params) < 2:
-            raise ValueError("ts needs at least two one-variable powers")
-        spect = spectrum_one_var(params[0], cutoff + 1)
-        for m in params[1:-1]:
-            spect = spectrum_thom_sebastiani(spect, spectrum_one_var(m, cutoff + 1), cutoff + 1)
-        return spectrum_thom_sebastiani(spect, spectrum_one_var(params[-1], cutoff + 1), cutoff)
-    raise ValueError(f"unknown spectrum class {klass!r}")
+        return spectrum_ordinary_fermat(*params, cutoff)
+    # ts
+    spect = spectrum_one_var(m_vec[0], cutoff + 1)
+    for m in m_vec[1:-1]:
+        spect = spectrum_thom_sebastiani(spect, spectrum_one_var(m, cutoff + 1), cutoff + 1)
+    return spectrum_thom_sebastiani(spect, spectrum_one_var(m_vec[-1], cutoff + 1), cutoff)
 
 
 def _ideal_str(ideal) -> str:
@@ -114,13 +125,13 @@ def cmd_ideal(args, out):
     if args.k < 0:
         raise ValueError("k must be >= 0")
     params = _parse_params(args.params)
+    m_vec = _exponents(args.klass, params)
     alpha = parse_rat(args.alpha)
     cutoff = args.cutoff
     if cutoff is None:
-        cutoff = (_first_jump_estimate(args.klass, params) + 3 + args.k
-                  + periodicity_twist(alpha))
+        cutoff = _first_jump_estimate(m_vec) + 3 + args.k + periodicity_twist(alpha)
     spect = build_spectrum(args.klass, params, cutoff)
-    f_exps = (params[0],) if args.klass == "power" else None
+    f_exps = m_vec if args.klass == "power" else None
     twisted = spect.hmi_twisted(args.k, alpha, f_exps)
     if args.json:
         _write_json(twisted.to_json(), out)
@@ -237,9 +248,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def spectrum_flags(p, cutoff_required=False):
+    def spectrum_flags(p):
         p.add_argument("--class", dest="klass", required=True,
-                       choices=["diagonal", "fermat-cone", "ts", "power"])
+                       choices=list(_CLASS_PARAMS))
         p.add_argument("--params", required=True,
                        help="comma-separated integers, e.g. 2,3")
         p.add_argument("--cutoff", type=_rat_arg, default=None,

@@ -125,8 +125,6 @@ def _staircase(tables, level: int) -> tuple:
 
 def spectrum_one_var(m: int, cutoff) -> VSpectrum:
     """Spectrum of x^m in one variable."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     return spectrum_diagonal((m,), cutoff)
 
 
@@ -170,9 +168,9 @@ def spectrum_thom_sebastiani(v1: VSpectrum, v2: VSpectrum, cutoff) -> VSpectrum:
     """Spectrum of f(x) + g(y) from the spectra of the two summands.
 
     The value at beta is the ideal sum over splittings beta_1 + beta_2 = beta
-    of the box products of the factor values; finitely many split points
-    (factor jumps and their reflections, plus interval midpoints) exhaust all
-    values because both factors are step functions.
+    of the box products of the factor values.  Each factor is constant on
+    pieces (lo, hi], so a pair of pieces contributes its product exactly when
+    some split lands in both: lo_1 + lo_2 < beta <= hi_1 + hi_2.
     """
     cutoff = Fraction(cutoff)
     if cutoff > v1.cutoff or cutoff > v2.cutoff:
@@ -180,29 +178,20 @@ def spectrum_thom_sebastiani(v1: VSpectrum, v2: VSpectrum, cutoff) -> VSpectrum:
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     n = v1.n + v2.n
-
-    def box_product(a: MonIdeal, b: MonIdeal) -> MonIdeal:
-        return MonIdeal(n, tuple(g + h for g in a.gens for h in b.gens))
+    pieces2 = _pieces(v2)
+    pairs = [(lo1 + lo2, hi1 + hi2, a, b)
+             for lo1, hi1, a in _pieces(v1) for lo2, hi2, b in pieces2]
 
     def value(beta: Fraction) -> MonIdeal:
-        splits = {b for b in v1.jumping_numbers() if 0 < b < beta}
-        splits |= {beta - c for c in v2.jumping_numbers() if 0 < beta - c < beta}
-        pts = sorted(splits)
-        cuts = [Fraction(0)] + pts + [beta]
-        for lo, hi in zip(cuts, cuts[1:]):
-            if hi > lo:
-                splits.add((lo + hi) / 2)
-        total = MonIdeal(n, ())
-        for b1 in splits or {beta / 2}:
-            total = total + box_product(v1.value_at(b1), v2.value_at(beta - b1))
-        return total
+        return MonIdeal(n, tuple(
+            g + h
+            for lo, hi, a, b in pairs if lo < beta <= hi
+            for g in a.gens for h in b.gens
+        ))
 
-    sums = sorted({
-        s1 + s2
-        for s1 in [Fraction(0)] + v1.jumping_numbers()
-        for s2 in [Fraction(0)] + v2.jumping_numbers()
-        if 0 < s1 + s2
-    })
+    # Candidate jumps: the sums of factor jumps (including 0), which are the
+    # pairs' starts.
+    sums = sorted({lo for lo, _, _, _ in pairs} - {0})
     points = [s for s in sums if s <= cutoff]
     # One evaluation past the cutoff certifies a terminal jump, but only
     # within the range both factors guarantee.
@@ -213,6 +202,14 @@ def spectrum_thom_sebastiani(v1: VSpectrum, v2: VSpectrum, cutoff) -> VSpectrum:
             points.append(probe)
     values = [value(p) for p in points]
     return spectrum_from_step(n, cutoff, points, values)
+
+
+def _pieces(spect: VSpectrum) -> list:
+    """(lo, hi, ideal) for each interval (lo, hi] of (0, cutoff] on which the
+    spectrum is constant: the unit ideal, then the value after each jump."""
+    ends = [Fraction(0), *spect.jumping_numbers(), spect.cutoff]
+    ideals = [unit_ideal(spect.n), *(ideal for _, ideal in spect.jumps)]
+    return list(zip(ends, ends[1:], ideals))
 
 
 def nc_ideal(m_vec, k: int, alpha) -> HMIdeal:

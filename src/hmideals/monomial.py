@@ -72,8 +72,7 @@ class MonIdeal:
 
     def subset(self, other: "MonIdeal") -> bool:
         """True iff self is contained in other."""
-        if self.n != other.n:
-            raise DimensionError(f"variable counts differ: {self.n} != {other.n}")
+        self._same_n(other)
         return all(other.contains(g) for g in self.gens)
 
     # -- arithmetic ----------------------------------------------------

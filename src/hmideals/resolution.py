@@ -9,6 +9,7 @@ the theta-divisor, determinantal and secant examples.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,19 +96,12 @@ def _json_int(component: dict, key: str) -> int:
 
 def _downward_close(maximal, n_comps):
     """Close the listed intersections under subsets and add all singletons."""
-    sets = set(frozenset(s) for s in (maximal or []))
-    sets |= {frozenset([i]) for i in range(n_comps)}
-    closed = set()
-    stack = list(sets)
-    while stack:
-        s = stack.pop()
-        if s in closed:
-            continue
-        closed.add(s)
-        for i in s:
-            stack.append(s - {i})
-    closed.discard(frozenset())
-    return frozenset(closed)
+    listed = [*(maximal or ()), *((i,) for i in range(n_comps))]
+    return frozenset(
+        frozenset(sub)
+        for s in listed for r in range(1, len(s) + 1)
+        for sub in itertools.combinations(s, r)
+    )
 
 
 def lct(res: ResolutionData) -> Fraction:
@@ -196,11 +190,12 @@ def weighted_nc_local(m_vec, alpha, ell: int) -> MonIdeal:
 # -- built-in families ------------------------------------------------------
 
 
-def _chain_resolution(pairs):
-    """Proper transform plus one exceptional component per stratum, all
-    mutually intersecting (iterated blow-up chain)."""
+def _chain_resolution(strata: StrataData):
+    """Proper transform plus one exceptional component E{m} per stratum, with
+    multiplicity m and discrepancy codim - 1, all mutually intersecting
+    (iterated blow-up chain)."""
     comps = [Component("proper-transform", 1, 0, exceptional=False)]
-    comps += [Component(f"E{m}", m, k, exceptional=True) for m, k in pairs]
+    comps += [Component(f"E{m}", m, codim - 1) for m, codim in strata.strata]
     return ResolutionData.build(comps)
 
 
@@ -225,34 +220,29 @@ def builtin_family(name: str, *params) -> dict:
         (g,) = params
         if g < 3:
             raise ValueError("need genus g >= 3")
-        ms = [m for m in range(2, g + 2) if 2 * m - 1 <= g]
-        strata = StrataData(tuple((m, 2 * m - 1) for m in ms))
-        res = _chain_resolution([(m, 2 * m - 2) for m in ms])
+        pairs = [(m, 2 * m - 1) for m in range(2, g + 2) if 2 * m - 1 <= g]
         expected = Fraction(3, 2)
     elif name == "bn_general_theta":
         (g,) = params
         if g < 4:
             raise ValueError("need genus g >= 4")
-        ms = [m for m in range(2, g + 2) if m * m <= g]
-        strata = StrataData(tuple((m, m * m) for m in ms))
-        res = _chain_resolution([(m, m * m - 1) for m in ms])
+        pairs = [(m, m * m) for m in range(2, g + 2) if m * m <= g]
         expected = Fraction(2)
     elif name == "determinantal":
         (n,) = params
         if n < 2:
             raise ValueError("need matrix size n >= 2")
-        strata = StrataData(tuple((m, m * m) for m in range(2, n + 1)))
-        res = _chain_resolution([(m, m * m - 1) for m in range(2, n + 1)])
+        pairs = [(m, m * m) for m in range(2, n + 1)]
         expected = Fraction(2)
     elif name == "secant":
         (n,) = params
         if n < 1:
             raise ValueError("need n >= 1")
-        strata = StrataData(tuple((m, 2 * m - 1) for m in range(2, n + 2)))
-        res = _chain_resolution([(m, 2 * m - 2) for m in range(2, n + 2)])
+        pairs = [(m, 2 * m - 1) for m in range(2, n + 2)]
         expected = Fraction(3, 2)
     else:  # cubic_threefold
-        strata = StrataData(((3, 5),))
-        res = _chain_resolution([(3, 4)])
+        pairs = [(3, 5)]
         expected = Fraction(5, 3)
-    return {"strata": strata, "resolution": res, "expected_min_exponent": expected}
+    strata = StrataData(tuple(pairs))
+    return {"strata": strata, "resolution": _chain_resolution(strata),
+            "expected_min_exponent": expected}

@@ -57,6 +57,8 @@ class VSpectrum:
 
     def _index_lookup(self, k: int, alpha: Fraction, strict: bool) -> MonIdeal:
         """_lookup at beta = k - alpha; the unit ideal when beta <= 0."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
         alpha = Fraction(alpha)
         if alpha < -1:
             raise ValueError("alpha < -1 requires the twisted form (hmi_twisted)")

@@ -114,3 +114,54 @@ def box_spectrum_diagonal(m_vec, cutoff):
     points.append(min(w for w in achieved if w > cutoff))
     values = [MonIdeal(n, tuple(mu for w, mu in weighted if w >= beta)) for beta in points]
     return spectrum_from_step(n, cutoff, points, values)
+
+
+def split_thom_sebastiani(v1, v2, cutoff):
+    """Spectrum of f(x) + g(y) from the spectra of the two summands, by
+    sampling split points (the construction the library used before its
+    interval-pair rule).
+
+    The value at beta is the ideal sum over splittings beta_1 + beta_2 = beta
+    of the box products of the factor values; finitely many split points
+    (factor jumps and their reflections, plus interval midpoints) exhaust all
+    values because both factors are step functions.
+    """
+    cutoff = Fraction(cutoff)
+    if cutoff > v1.cutoff or cutoff > v2.cutoff:
+        raise CutoffExceededError("cutoff exceeds a factor's guaranteed range")
+    if cutoff <= 0:
+        raise ValueError("cutoff must be positive")
+    n = v1.n + v2.n
+
+    def box_product(a, b):
+        return MonIdeal(n, tuple(g + h for g in a.gens for h in b.gens))
+
+    def value(beta):
+        splits = {b for b in v1.jumping_numbers() if 0 < b < beta}
+        splits |= {beta - c for c in v2.jumping_numbers() if 0 < beta - c < beta}
+        pts = sorted(splits)
+        cuts = [Fraction(0)] + pts + [beta]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if hi > lo:
+                splits.add((lo + hi) / 2)
+        total = MonIdeal(n, ())
+        for b1 in splits or {beta / 2}:
+            total = total + box_product(v1.value_at(b1), v2.value_at(beta - b1))
+        return total
+
+    sums = sorted({
+        s1 + s2
+        for s1 in [Fraction(0)] + v1.jumping_numbers()
+        for s2 in [Fraction(0)] + v2.jumping_numbers()
+        if 0 < s1 + s2
+    })
+    points = [s for s in sums if s <= cutoff]
+    # One evaluation past the cutoff certifies a terminal jump, but only
+    # within the range both factors guarantee.
+    after = [s for s in sums if s > cutoff]
+    if after:
+        probe = min(after[0], v1.cutoff, v2.cutoff)
+        if probe > (points[-1] if points else 0):
+            points.append(probe)
+    values = [value(p) for p in points]
+    return spectrum_from_step(n, cutoff, points, values)

@@ -1,9 +1,12 @@
 """Exit codes and output of the command-line front end."""
 
+import contextlib
 import io
 import json
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hmideals.cli import run
 
@@ -183,3 +186,46 @@ class TestInputErrors:
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "hyperelliptic_theta(g)" in err
+
+    @pytest.mark.parametrize("argv", [
+        "spectrum --class fermat-cone --params 3",
+        "ideal --class fermat-cone --params 3 --k 0 --alpha 0",
+        "spectrum --class power --params ,",
+        "spectrum --class diagonal --params 2,0",
+        "spectrum --class fermat-cone --params 3,0",
+        "bs-classes --class power --params 0",
+    ])
+    def test_class_parameters(self, capsys, argv):
+        code, text = invoke(*argv.split())
+        assert code == 2 and text == ""
+        self.assert_one_error_line(capsys)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["spectrum", "ideal", "bs-classes"]),
+    klass=st.sampled_from(["diagonal", "fermat-cone", "ts", "power"]),
+    params=st.lists(st.integers(-1, 4), max_size=3),
+    cutoff=st.none() | st.fractions(min_value=-1, max_value=3, max_denominator=4),
+    k=st.integers(-2, 3),
+    alpha=st.sampled_from([F(0), F(-1, 2), F(1, 3)]),
+)
+def test_argv_fuzz(command, klass, params, cutoff, k, alpha):
+    """Well-formed argv for the spectrum commands: exit 0, 2 or 3, never an
+    exception, and one `error:` line on stderr for a nonzero exit."""
+    # The four-variable cone at the default cutoff for k >= 2 (6 or more)
+    # takes seconds: its values have thousands of generators.
+    assume(not (klass == "fermat-cone" and params == [4, 4] and cutoff is None
+                and command == "ideal" and k >= 2))
+    argv = [command, "--class", klass, "--params=" + ",".join(map(str, params))]
+    if cutoff is not None:
+        argv.append(f"--cutoff={cutoff}")
+    if command == "ideal":
+        argv += [f"--k={k}", f"--alpha={alpha}"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv, out=io.StringIO())
+    assert code in (0, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -21,7 +21,7 @@ from hmideals import (
     unit_ideal,
 )
 
-from oracles import box_spectrum_diagonal, howald_multiplier
+from oracles import box_spectrum_diagonal, howald_multiplier, split_thom_sebastiani
 
 
 def I(n, *gens):
@@ -175,6 +175,44 @@ class TestThomSebastiani:
         v = spectrum_one_var(2, 2)
         with pytest.raises(ValueError):
             spectrum_thom_sebastiani(v, v, 3)
+
+
+def _chain(ts, m_vec, cutoff):
+    """TS sum of one-variable powers, each factor guaranteed to cutoff + 1."""
+    factors = [spectrum_one_var(m, cutoff + 1) for m in m_vec]
+    spect = factors[0]
+    for f in factors[1:-1]:
+        spect = ts(spect, f, cutoff + 1)
+    return ts(spect, factors[-1], cutoff)
+
+
+class TestThomSebastianiOracle:
+    """The interval-pair rule against the split-point sampling it replaced."""
+
+    @pytest.mark.parametrize("kind", list(_CUTOFFS))
+    def test_two_factors(self, kind):
+        for m_vec in itertools.product(range(1, 6), repeat=2):
+            cutoff = _CUTOFFS[kind](_first_jump(m_vec))
+            assert (_chain(spectrum_thom_sebastiani, m_vec, cutoff)
+                    == _chain(split_thom_sebastiani, m_vec, cutoff))
+
+    def test_three_factors(self):
+        m_vecs = itertools.product(range(1, 5), repeat=3)
+        for i, m_vec in enumerate(m_vecs):
+            cutoff = _CUTOFFS[_CUTOFFS_3[i % len(_CUTOFFS_3)]](_first_jump(m_vec))
+            assert (_chain(spectrum_thom_sebastiani, m_vec, cutoff)
+                    == _chain(split_thom_sebastiani, m_vec, cutoff))
+
+    @pytest.mark.parametrize("v1, v2, cutoff", [
+        (spectrum_ordinary_fermat(3, 3, 3), spectrum_one_var(4, 3), F(5, 2)),
+        (spectrum_diagonal((2, 3), 3), spectrum_one_var(3, F(5, 2)), F(5, 2)),
+        (spectrum_diagonal((2, 3), 3), spectrum_diagonal((2, 2), F(7, 3)), 2),
+        # the next sum 4/3 lies past both factors' 13/10: the probe is 13/10
+        (spectrum_one_var(2, F(13, 10)), spectrum_one_var(3, F(13, 10)), F(6, 5)),
+    ], ids=["fermat-power", "diagonal-power", "diagonal-diagonal", "factor-cutoff-probe"])
+    def test_mixed(self, v1, v2, cutoff):
+        assert (spectrum_thom_sebastiani(v1, v2, cutoff)
+                == split_thom_sebastiani(v1, v2, cutoff))
 
 
 class TestNormalCrossing:

@@ -83,6 +83,14 @@ class TestWeightLevel:
             for i in j:
                 assert frozenset([i]) in cusp_res.lattice
 
+    def test_lattice_pinned(self, cusp_res):
+        assert cusp_res.lattice == frozenset(
+            frozenset(j) for j in [[0], [1], [2], [3], [0, 3], [1, 3], [2, 3]]
+        )
+        # 11 mutually intersecting components: every nonempty subset
+        lattice = builtin_family("hyperelliptic_theta", 21)["resolution"].lattice
+        assert len(lattice) == 2047 and frozenset(range(11)) in lattice
+
 
 class TestLcCenter:
     def test_cusp_center(self, cusp_res):

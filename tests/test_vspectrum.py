@@ -116,6 +116,12 @@ class TestHmi:
         with pytest.raises(CutoffExceededError):
             cusp.hmi(3, 0)
 
+    @pytest.mark.parametrize("query", ["hmi", "hmi_lt", "hmi_twisted", "graded_dim"])
+    def test_negative_level_rejected(self, cusp, query):
+        # beta = k - alpha <= 0 would otherwise read as the unit ideal
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            getattr(cusp, query)(-5, 0)
+
 
 class TestHmiLt:
     def test_below_first_jump_unit(self, cusp):
