@@ -240,8 +240,33 @@ def _rat_arg(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+class _UsageError(Exception):
+    """An argparse error, raised instead of printing the usage block."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argparse with its errors raised, for run() to report on one line;
+    the subparsers inherit the class."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _usage_message(message: str, argv) -> str:
+    """The argparse message, naming the fix when an option's value was
+    taken for an option because it starts with '-'."""
+    match = re.fullmatch(r"argument (\S+): expected one argument", message)
+    if match:
+        flags = match.group(1).split("/")
+        for flag, value in zip(argv, argv[1:]):
+            if flag in flags and value.startswith("-"):
+                return (f"{message}; write a value that starts with '-' "
+                        f"with '=', as in {flag}={value}")
+    return message
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hmideals",
         description="Exact invariants of hypersurface singularities with "
         "closed-form filtration data.",
@@ -323,11 +348,15 @@ def make_parser() -> argparse.ArgumentParser:
 
 def run(argv=None, out=None) -> int:
     out = out or sys.stdout
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
+    except _UsageError as exc:
+        print(f"error: {_usage_message(str(exc), argv)}", file=sys.stderr)
+        return 2
     try:
         return args.func(args, out)
     except CutoffExceededError as exc:

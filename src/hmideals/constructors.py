@@ -12,6 +12,7 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 from .errors import CutoffExceededError
 from .monomial import MonIdeal, squarefree_ideal, unit_ideal
@@ -141,22 +142,28 @@ def spectrum_ordinary_fermat(n: int, m: int, cutoff) -> VSpectrum:
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    jacobian = MonIdeal(n, tuple(tuple((m - 1) * (i == j) for i in range(n)) for j in range(n)))
     top = n * (m - 2)
+    # The v basis bucketed by degree, from one pass over its box.
+    basis = [[] for _ in range(top + 1)]
+    for v in itertools.product(range(m - 1), repeat=n):
+        basis[sum(v)].append(v)
+    jacobian = MonIdeal(n, tuple(tuple((m - 1) * (i == j) for i in range(n)) for j in range(n)))
+    powers = [unit_ideal(n)]  # J^a, each computed once across all levels
 
     def value(j: int) -> MonIdeal:
         # value on ((j-1)/m, j/m]: threshold m*a + deg(v) >= j - n
         need = j - n
         if need <= 0:
             return unit_ideal(n)
-        total = MonIdeal(n, ())
-        for a in range(math.ceil(need / m) + 1):
+        prods = []
+        for a in range(-(-need // m) + 1):
             d = max(0, need - m * a)
             if d > top:
                 continue
-            basis = [v for v in itertools.product(range(m - 1), repeat=n) if sum(v) == d]
-            total = total + (jacobian ** a) * MonIdeal(n, tuple(basis))
-        return total
+            while len(powers) <= a:
+                powers.append(powers[-1] * jacobian)
+            prods += [tuple(map(add, g, v)) for g in powers[a].gens for v in basis[d]]
+        return MonIdeal(n, tuple(prods))
 
     j_max = math.floor(m * cutoff)
     points = [Fraction(j, m) for j in range(1, j_max + 2)]
@@ -178,11 +185,15 @@ def spectrum_thom_sebastiani(v1: VSpectrum, v2: VSpectrum, cutoff) -> VSpectrum:
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     n = v1.n + v2.n
-    pieces2 = _pieces(v2)
+    # Every piece end, the factor cutoffs included, is a multiple of
+    # 1/scale, so bounds, candidates and the probe compare as ints.
+    scale = math.lcm(*(end.denominator for v in (v1, v2)
+                       for end in (*v.jumping_numbers(), v.cutoff)))
+    pieces2 = _pieces(v2, scale)
     pairs = [(lo1 + lo2, hi1 + hi2, a, b)
-             for lo1, hi1, a in _pieces(v1) for lo2, hi2, b in pieces2]
+             for lo1, hi1, a in _pieces(v1, scale) for lo2, hi2, b in pieces2]
 
-    def value(beta: Fraction) -> MonIdeal:
+    def value(beta: int) -> MonIdeal:  # beta in units of 1/scale
         return MonIdeal(n, tuple(
             g + h
             for lo, hi, a, b in pairs if lo < beta <= hi
@@ -192,22 +203,24 @@ def spectrum_thom_sebastiani(v1: VSpectrum, v2: VSpectrum, cutoff) -> VSpectrum:
     # Candidate jumps: the sums of factor jumps (including 0), which are the
     # pairs' starts.
     sums = sorted({lo for lo, _, _, _ in pairs} - {0})
-    points = [s for s in sums if s <= cutoff]
+    last = math.floor(cutoff * scale)
+    points = [s for s in sums if s <= last]
     # One evaluation past the cutoff certifies a terminal jump, but only
     # within the range both factors guarantee.
-    after = [s for s in sums if s > cutoff]
+    after = [s for s in sums if s > last]
     if after:
-        probe = min(after[0], v1.cutoff, v2.cutoff)
+        probe = min(after[0], int(v1.cutoff * scale), int(v2.cutoff * scale))
         if probe > (points[-1] if points else 0):
             points.append(probe)
     values = [value(p) for p in points]
-    return spectrum_from_step(n, cutoff, points, values)
+    return spectrum_from_step(n, cutoff, [Fraction(p, scale) for p in points], values)
 
 
-def _pieces(spect: VSpectrum) -> list:
+def _pieces(spect: VSpectrum, scale: int) -> list:
     """(lo, hi, ideal) for each interval (lo, hi] of (0, cutoff] on which the
-    spectrum is constant: the unit ideal, then the value after each jump."""
-    ends = [Fraction(0), *spect.jumping_numbers(), spect.cutoff]
+    spectrum is constant, the ends times scale as ints: the unit ideal, then
+    the value after each jump."""
+    ends = [0, *(int(end * scale) for end in (*spect.jumping_numbers(), spect.cutoff))]
     ideals = [unit_ideal(spect.n), *(ideal for _, ideal in spect.jumps)]
     return list(zip(ends, ends[1:], ideals))
 

@@ -5,12 +5,23 @@ divisibility of monomials.  A MonIdeal stores the minimal antichain of
 generators in lexicographic order, so equal ideals compare equal.  The
 unit ideal is generated by the zero vector; the zero ideal has no
 generators.
+
+Each ideal also packs its generators once, at construction: a vector
+becomes one int of n fields, the first coordinate in the highest field.
+A field is w = top.bit_length() + 1 bits wide for the largest exponent
+top, so its top bit (the guard) is clear in every packed vector.  With G
+the guard bits of all fields, h divides g iff
+((pack(g) | G) - pack(h)) & G == G: each field computes
+2^(w-1) + g_i - h_i, which keeps its guard bit iff h_i <= g_i and never
+borrows from the next field.  Packed order is lexicographic order.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
+from operator import add, lshift
 
 from .errors import DimensionError
 
@@ -53,8 +64,11 @@ class MonIdeal:
     gens: tuple = field(default=())
 
     def __post_init__(self):
-        _check_len(self.gens, self.n)
-        object.__setattr__(self, "gens", _minimalize(self.gens))
+        gens, packing = _minimalize(self.gens, self.n)
+        object.__setattr__(self, "gens", gens)
+        # (top, width, guard, packed gens): kept off the dataclass fields,
+        # so ==, hash and repr see n and gens only.
+        object.__setattr__(self, "_packing", packing)
 
     # -- predicates ----------------------------------------------------
 
@@ -71,9 +85,32 @@ class MonIdeal:
         return any(divides(g, nu) for g in self.gens)
 
     def subset(self, other: "MonIdeal") -> bool:
-        """True iff self is contained in other."""
+        """True iff self is contained in other (every generator of self is
+        divisible by one of other).
+
+        A tested vector is clamped to other's largest exponent, which keeps
+        divisibility by other's generators and fits other's fields; with
+        equal field widths self's own packing already fits.
+        """
         self._same_n(other)
-        return all(other.contains(g) for g in self.gens)
+        top, width, guard, theirs = other._packing
+        if self._packing[1] == width:
+            mine = self._packing[3]
+        else:
+            shifts = _shifts(self.n, width)
+            mine = [sum(map(lshift, map(min, g, itertools.repeat(top)), shifts))
+                    for g in self.gens]
+        for p in mine:
+            # A divisor precedes p in packed (lex) order; the nearest divide
+            # most often, so scan back from p.
+            end = bisect.bisect_right(theirs, p)
+            p |= guard
+            for q in reversed(theirs[:end]):
+                if (p - q) & guard == guard:
+                    break
+            else:
+                return False
+        return True
 
     # -- arithmetic ----------------------------------------------------
 
@@ -87,9 +124,7 @@ class MonIdeal:
 
     def __mul__(self, other: "MonIdeal") -> "MonIdeal":
         self._same_n(other)
-        prods = tuple(
-            tuple(a + b for a, b in zip(g, h)) for g in self.gens for h in other.gens
-        )
+        prods = tuple(tuple(map(add, g, h)) for g in self.gens for h in other.gens)
         return MonIdeal(self.n, prods)
 
     def __pow__(self, e: int) -> "MonIdeal":
@@ -176,22 +211,36 @@ class MonIdeal:
         return "(" + ", ".join(format_monomial(g) for g in reversed(self.gens)) + ")"
 
 
-def _minimalize(gens):
-    """Minimal antichain generating the same ideal, sorted lexicographically."""
-    gens = sorted(set(tuple(int(x) for x in g) for g in gens))
-    keep = []
-    for g in gens:
-        for h in keep:
-            for a, b in zip(h, g):
-                if a > b:
-                    break
-            else:  # h divides g
+def _shifts(n: int, width: int) -> range:
+    """Bit offset of each coordinate's field, the first coordinate highest."""
+    return range((n - 1) * width, -1, -width)
+
+
+def _minimalize(gens, n: int):
+    """Minimal antichain generating the same ideal, sorted lexicographically,
+    and its packing (top, width, guard, packed generators)."""
+    vecs = sorted(set(map(tuple, gens)))
+    _check_len(vecs, n)
+    if min(itertools.chain.from_iterable(vecs), default=0) < 0:
+        raise ValueError("exponents must be >= 0")
+    top = max(itertools.chain.from_iterable(vecs), default=0)
+    width = top.bit_length() + 1
+    # One guard bit at the top of each of the n fields.
+    guard = ((1 << n * width) - 1) // ((1 << width) - 1) << (width - 1)
+    shifts = _shifts(n, width)
+    keep, packed = [], []
+    for g in vecs:
+        p = sum(map(lshift, g, shifts))
+        q = p | guard
+        for h in reversed(packed):  # the lex-nearest divide most often
+            if (q - h) & guard == guard:  # h divides g
                 break
         else:
             keep.append(g)
+            packed.append(p)
     # A later generator never divides an earlier one in lex order unless
     # equal, so one pass suffices.
-    return tuple(keep)
+    return tuple(keep), (top, width, guard, packed)
 
 
 def mi_normalize(gens, n: int) -> MonIdeal:
@@ -200,7 +249,14 @@ def mi_normalize(gens, n: int) -> MonIdeal:
 
 
 def unit_ideal(n: int) -> MonIdeal:
+    if 0 <= n < len(_UNITS):
+        return _UNITS[n]
     return MonIdeal(n, ((0,) * n,))
+
+
+# Unit ideals in up to 8 variables, built once at import rather than on
+# first use, so that every later call does the same (no) work.
+_UNITS = tuple(MonIdeal(n, ((0,) * n,)) for n in range(9))
 
 
 def zero_ideal(n: int) -> MonIdeal:

@@ -4,7 +4,8 @@ Everything here is computed by a different route than the library itself:
 lattice-point enumeration against Newton polyhedra, classical one-variable
 b-function products, and Hilbert series coefficients by inclusion-exclusion.
 These were written (and their frozen values recorded) before the library
-code they check.
+code they check.  The constructions the library replaced stay here too, as
+second routes for their fast paths.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import math
 from fractions import Fraction
 
 from hmideals.errors import CutoffExceededError
-from hmideals.monomial import MonIdeal, unit_ideal
+from hmideals.monomial import MonIdeal, divides, unit_ideal
 from hmideals.vspectrum import spectrum_from_step
 
 
@@ -164,4 +165,70 @@ def split_thom_sebastiani(v1, v2, cutoff):
         if probe > (points[-1] if points else 0):
             points.append(probe)
     values = [value(p) for p in points]
+    return spectrum_from_step(n, cutoff, points, values)
+
+
+def pairwise_minimalize(gens):
+    """Minimal antichain generating the same ideal, sorted lexicographically,
+    by a componentwise comparison of every pair (the minimalization the
+    library used before its packed divisibility test)."""
+    gens = sorted(set(tuple(int(x) for x in g) for g in gens))
+    keep = []
+    for g in gens:
+        for h in keep:
+            for a, b in zip(h, g):
+                if a > b:
+                    break
+            else:  # h divides g
+                break
+        else:
+            keep.append(g)
+    # A later generator never divides an earlier one in lex order unless
+    # equal, so one pass suffices.
+    return tuple(keep)
+
+
+def pairwise_subset(inner, outer):
+    """True iff inner is contained in outer: some generator of outer divides
+    each generator of inner (the containment test the library used before
+    its packed divisibility test)."""
+    return all(any(divides(h, g) for h in outer.gens) for g in inner.gens)
+
+
+def sum_fermat_cone(n, m, cutoff):
+    """Spectrum of the cone over the Fermat hypersurface of degree m in n
+    variables, each value a sum of ideals J^a * V_d with J^a recomputed at
+    every level (the construction the library used before it built each
+    level in one pass).
+
+    The value at beta is generated by products J^a * v with
+    m*a + deg(v) >= ceil(m*beta) - n, where J is the Jacobian ideal
+    (pure (m-1)-th powers) and v runs over monomials with all exponents
+    <= m-2.  Jumps occur only at multiples of 1/m.
+    """
+    if n < 2 or m < 2:
+        raise ValueError("need n >= 2 and m >= 2")
+    cutoff = Fraction(cutoff)
+    if cutoff <= 0:
+        raise ValueError("cutoff must be positive")
+    jacobian = MonIdeal(n, tuple(tuple((m - 1) * (i == j) for i in range(n)) for j in range(n)))
+    top = n * (m - 2)
+
+    def value(j: int) -> MonIdeal:
+        # value on ((j-1)/m, j/m]: threshold m*a + deg(v) >= j - n
+        need = j - n
+        if need <= 0:
+            return unit_ideal(n)
+        total = MonIdeal(n, ())
+        for a in range(math.ceil(need / m) + 1):
+            d = max(0, need - m * a)
+            if d > top:
+                continue
+            basis = [v for v in itertools.product(range(m - 1), repeat=n) if sum(v) == d]
+            total = total + (jacobian ** a) * MonIdeal(n, tuple(basis))
+        return total
+
+    j_max = math.floor(m * cutoff)
+    points = [Fraction(j, m) for j in range(1, j_max + 2)]
+    values = [value(j) for j in range(1, j_max + 2)]
     return spectrum_from_step(n, cutoff, points, values)

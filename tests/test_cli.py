@@ -1,14 +1,18 @@
 """Exit codes and output of the command-line front end."""
 
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hmideals.cli import run
+
+CLI_EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "cli_expected.json"
 
 
 def invoke(*argv):
@@ -36,6 +40,15 @@ class TestSpectrum:
         assert data["n"] == 2
         assert data["cutoff"] == "13/6"
         assert [j["beta"] for j in data["jumps"]] == ["5/6", "7/6", "11/6", "13/6"]
+
+    def test_fermat_cone_matches_recorded_output(self):
+        """The cone's table is byte-identical to the digest the benchmark's
+        cli-session workload checks."""
+        argv = "spectrum --class fermat-cone --params 3,3"
+        recorded = json.loads(CLI_EXPECTED.read_text())[argv]
+        code, text = invoke(*argv.split())
+        assert code == recorded["exit"] == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == recorded["stdout_sha256"]
 
     def test_default_cutoff(self):
         code, text = invoke("spectrum", "--class", "power", "--params", "2")
@@ -187,6 +200,32 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "hyperelliptic_theta(g)" in err
 
+    @pytest.mark.parametrize("argv, hint", [
+        ("spectrum --class diagonal --params -1,2", "--params=-1,2"),
+        ("ideal --class diagonal --params 2,3 --k 1 --alpha -1/2", "--alpha=-1/2"),
+        ("ideal --class diagonal --params 2,3 --k 1 --alpha", None),
+        ("spectrum --class diagonal", None),
+        ("spectrum --class diagonal --params 2 --bogus", None),
+        ("criteria", None),
+    ])
+    def test_argparse_errors(self, capsys, argv, hint):
+        """Argparse's own errors: one line, no usage block; a value taken for
+        an option because it starts with '-' is shown written with '='."""
+        code, text = invoke(*argv.split())
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "usage" not in err
+        assert ("=-" in err) == (hint is not None)
+        if hint:
+            assert f"as in {hint}\n" in err
+
+    def test_help_exits_zero(self, capsys):
+        code, _ = invoke("spectrum", "--help")
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: hmideals spectrum") and captured.err == ""
+
     @pytest.mark.parametrize("argv", [
         "spectrum --class fermat-cone --params 3",
         "ideal --class fermat-cone --params 3 --k 0 --alpha 0",
@@ -213,10 +252,6 @@ class TestInputErrors:
 def test_argv_fuzz(command, klass, params, cutoff, k, alpha):
     """Well-formed argv for the spectrum commands: exit 0, 2 or 3, never an
     exception, and one `error:` line on stderr for a nonzero exit."""
-    # The four-variable cone at the default cutoff for k >= 2 (6 or more)
-    # takes seconds: its values have thousands of generators.
-    assume(not (klass == "fermat-cone" and params == [4, 4] and cutoff is None
-                and command == "ideal" and k >= 2))
     argv = [command, "--class", klass, "--params=" + ",".join(map(str, params))]
     if cutoff is not None:
         argv.append(f"--cutoff={cutoff}")

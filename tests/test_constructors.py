@@ -21,7 +21,12 @@ from hmideals import (
     unit_ideal,
 )
 
-from oracles import box_spectrum_diagonal, howald_multiplier, split_thom_sebastiani
+from oracles import (
+    box_spectrum_diagonal,
+    howald_multiplier,
+    split_thom_sebastiani,
+    sum_fermat_cone,
+)
 
 
 def I(n, *gens):
@@ -152,6 +157,20 @@ class TestFermatCone:
         a = spectrum_ordinary_fermat(2, 4, 2)
         b = spectrum_diagonal((4, 4), 2)
         assert a == b
+
+    @pytest.mark.parametrize("step", [F(1, 2), F(1), F(3, 2)])
+    def test_sum_oracle(self, step):
+        """The one-pass construction against the sum of ideals it replaced, at the
+        benchmark's cutoffs n/m + step."""
+        for n, m in itertools.product(range(2, 5), range(2, 6)):
+            cutoff = F(n, m) + step
+            assert spectrum_ordinary_fermat(n, m, cutoff) == sum_fermat_cone(n, m, cutoff)
+
+    def test_four_quartics_to_five(self):
+        """A cutoff whose levels have thousands of candidate products."""
+        v = spectrum_ordinary_fermat(4, 4, 5)
+        assert v == spectrum_diagonal((4,) * 4, 5)
+        assert v == _chain(spectrum_thom_sebastiani, (4,) * 4, 5)
 
 
 class TestThomSebastiani:

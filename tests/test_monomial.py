@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hmideals.monomial import (
     INFINITE,
@@ -16,6 +17,8 @@ from hmideals.monomial import (
     var_names,
     zero_ideal,
 )
+
+from oracles import pairwise_minimalize, pairwise_subset
 
 
 def I(n, *gens):
@@ -176,3 +179,82 @@ class TestSerialization:
 
 def test_principal_ideal():
     assert principal_ideal((2, 3)) == I(2, (2, 3))
+
+
+@pytest.mark.parametrize("n", [3, 11])
+def test_equal_calls_construct_equally(monkeypatch, n):
+    """No cache is filled on first use, so per-call construction counts
+    repeat exactly (unit ideals are built at import or every time)."""
+    built = []
+    original = MonIdeal.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        original(self)
+
+    monkeypatch.setattr(MonIdeal, "__post_init__", counting)
+    counts = []
+    for _ in range(2):
+        before = len(built)
+        assert unit_ideal(n) ** 2 == unit_ideal(n)
+        counts.append(len(built) - before)
+    assert counts[0] == counts[1]
+
+
+# Exponents small enough to collide and divide, or up to 2**70, which
+# forces fields far wider than a machine word.
+_EXPONENTS = st.integers(0, 4) | st.integers(0, 2 ** 70)
+
+
+@st.composite
+def _vectors(draw, n, exponents=_EXPONENTS):
+    """Drawn vectors, then multiples of some of them (so that generators
+    divide one another)."""
+    base = draw(st.lists(st.tuples(*[exponents] * n), max_size=8))
+    if not base:
+        return base
+    shifts = st.tuples(*[st.integers(0, 3)] * n)
+    extra = draw(st.lists(st.tuples(st.sampled_from(base), shifts), max_size=6))
+    return base + [tuple(map(sum, zip(g, s))) for g, s in extra]
+
+
+@st.composite
+def _ideal_pairs(draw):
+    """(inner, outer): inner mixes multiples of outer's generators, some by
+    exponents past outer's largest, with vectors of its own."""
+    n = draw(st.integers(1, 5))
+    # Small exponents in outer make narrow fields that inner's overflow.
+    exponents = draw(st.sampled_from([st.integers(0, 4), _EXPONENTS]))
+    outer = MonIdeal(n, tuple(draw(_vectors(n, exponents))))
+    mult = st.tuples(*[st.integers(0, 2) | st.integers(0, 2 ** 70)] * n)
+    inner = [tuple(map(sum, zip(g, draw(mult))))
+             for g in draw(st.lists(st.sampled_from(outer.gens), max_size=5))
+             ] if outer.gens else []
+    inner += draw(st.lists(st.tuples(*[_EXPONENTS] * n), max_size=2))
+    return MonIdeal(n, tuple(inner)), outer
+
+
+class TestPackedKernel:
+    """The packed divisibility test against the pairwise routes it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), _vectors(n))))
+    def test_minimalize(self, drawn):
+        n, gens = drawn
+        assert MonIdeal(n, tuple(gens)).gens == pairwise_minimalize(gens)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ideal_pairs())
+    def test_subset(self, pair):
+        inner, outer = pair
+        assert inner.subset(outer) == pairwise_subset(inner, outer)
+        assert outer.subset(inner) == pairwise_subset(outer, inner)
+
+    def test_clamp_past_largest_exponent(self):
+        outer = I(2, (3, 0), (0, 3))  # 2-bit fields
+        assert I(2, (2 ** 70, 0), (1, 9)).subset(outer)
+        assert not I(2, (2 ** 70, 0), (2, 2)).subset(outer)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            I(2, (1, -1))
