@@ -177,10 +177,13 @@ def cmd_criteria(args, out):
 
 
 _BUILTIN_RE = re.compile(r"(\w+)(?:\((\d*)\))?$")
+_STRATUM_RE = re.compile(r"\s*\d+\s*:\s*\d+\s*")
 
 
 def _load_resolution(args):
     if args.builtin:
+        if args.strata is not None:
+            raise ValueError("--strata goes with --file; a builtin has its own strata")
         match = _BUILTIN_RE.fullmatch(args.builtin)
         if not match:
             raise ValueError(f"malformed builtin {args.builtin!r}")
@@ -188,12 +191,13 @@ def _load_resolution(args):
         params = [int(match.group(2))] if match.group(2) else []
         fam = builtin_family(name, *params)
         return fam["resolution"], fam["strata"], fam["expected_min_exponent"]
-    res = ResolutionData.load(args.file)
     strata = None
     if args.strata:
-        pairs = [tuple(int(x) for x in p.split(":")) for p in args.strata.split(",")]
-        strata = StrataData(tuple(pairs))
-    return res, strata, None
+        pairs = args.strata.split(",")
+        if not all(_STRATUM_RE.fullmatch(p) for p in pairs):
+            raise ValueError("--strata takes m:codim pairs, e.g. 2:3,3:5")
+        strata = StrataData(tuple(tuple(map(int, p.split(":"))) for p in pairs))
+    return ResolutionData.load(args.file), strata, None
 
 
 def cmd_resolution(args, out):

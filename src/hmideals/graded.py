@@ -128,6 +128,8 @@ def symbolic_power_exponent(codim: int, m: int, ell: int, alpha) -> int:
     """Order of vanishing forced along a multiplicity-m stratum of the given
     codimension: the level-ell ideal at index alpha sits inside the symbolic
     power of that order."""
+    if codim < 1 or m < 2:
+        raise ValueError("need codim >= 1 and m >= 2")
     alpha = Fraction(alpha)
     x = m * (ell - alpha) - codim
     if x < 0:

@@ -3,13 +3,13 @@
 ResolutionData carries, for each divisor component on the resolution, its
 multiplicity e in the pulled-back divisor and its discrepancy k in the
 relative canonical divisor, plus the intersection lattice (which subsets of
-components meet).  Built-in families package the stratum/resolution data of
-the theta-divisor, determinantal and secant examples.
+components meet), stored by its maximal sets.  Built-in families package the
+stratum/resolution data of the theta-divisor, determinantal and secant
+examples.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +35,7 @@ class Component:
 @dataclass(frozen=True)
 class ResolutionData:
     components: tuple  # of Component
-    lattice: frozenset = field(default=None)  # frozensets of component indices
+    lattice: frozenset = field(default=None)  # maximal sets of component indices
 
     def __post_init__(self):
         if not self.components:
@@ -45,7 +45,12 @@ class ResolutionData:
             raise ValueError("component labels must be distinct")
         if any(not 0 <= i < n for j in self.lattice or () for i in j):
             raise ValueError(f"intersection index out of range 0..{n - 1}")
-        object.__setattr__(self, "lattice", _downward_close(self.lattice, n))
+        # keep the listed sets no other contains, plus {i} for i in none
+        listed = {frozenset(j) for j in self.lattice or () if j}
+        covered = frozenset().union(*listed)
+        maximal = {j for j in listed if not any(j < other for other in listed)}
+        maximal |= {frozenset([i]) for i in range(n) if i not in covered}
+        object.__setattr__(self, "lattice", frozenset(maximal))
 
     @classmethod
     def build(cls, components, maximal_intersections=None):
@@ -94,16 +99,6 @@ def _json_int(component: dict, key: str) -> int:
     return value
 
 
-def _downward_close(maximal, n_comps):
-    """Close the listed intersections under subsets and add all singletons."""
-    listed = [*(maximal or ()), *((i,) for i in range(n_comps))]
-    return frozenset(
-        frozenset(sub)
-        for s in listed for r in range(1, len(s) + 1)
-        for sub in itertools.combinations(s, r)
-    )
-
-
 def lct(res: ResolutionData) -> Fraction:
     """Log canonical threshold: min (k_i + 1)/e_i over all components."""
     return min(Fraction(c.k + 1, c.e) for c in res.components)
@@ -137,8 +132,7 @@ def max_weight_level(res: ResolutionData, alpha) -> int:
     """Largest ell such that some (ell+1)-fold intersection of integral-index
     components is nonempty; -1 when there is none."""
     idx = integral_components(res, alpha)
-    sizes = [len(j) for j in res.lattice if j <= idx]
-    return max(sizes, default=0) - 1
+    return max(len(m & idx) for m in res.lattice) - 1
 
 
 def minimal_lc_center(res: ResolutionData, alpha=None) -> set:
@@ -161,11 +155,10 @@ def minimal_lc_center(res: ResolutionData, alpha=None) -> set:
                 f"component {c.label!r} has integral index but ratio "
                 f"{Fraction(c.k + 1, c.e)} != lct {threshold}"
             )
-    candidates = [j for j in res.lattice if j <= idx]
-    if not candidates:
-        return set()
-    depth = max(len(j) for j in candidates)
-    return {frozenset(j) for j in candidates if len(j) == depth}
+    # every intersection inside idx lies in some maximal set's part in idx
+    cuts = [m & idx for m in res.lattice]
+    depth = max(map(len, cuts))
+    return {c for c in cuts if len(c) == depth} if depth else set()
 
 
 def weighted_nc_local(m_vec, alpha, ell: int) -> MonIdeal:

@@ -12,8 +12,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from hmideals.errors import CutoffExceededError
+from hmideals.errors import CutoffExceededError, HypothesisError
 from hmideals.monomial import MonIdeal, divides, unit_ideal
+from hmideals.resolution import integral_components, lct
 from hmideals.vspectrum import spectrum_from_step
 
 
@@ -232,3 +233,43 @@ def sum_fermat_cone(n, m, cutoff):
     points = [Fraction(j, m) for j in range(1, j_max + 2)]
     values = [value(j) for j in range(1, j_max + 2)]
     return spectrum_from_step(n, cutoff, points, values)
+
+
+def downward_close(maximal, n_comps):
+    """Close the listed intersections under subsets and add all singletons
+    (the intersection lattice ResolutionData stored before it kept only the
+    maximal sets)."""
+    listed = [*(maximal or ()), *((i,) for i in range(n_comps))]
+    return frozenset(
+        frozenset(sub)
+        for s in listed for r in range(1, len(s) + 1)
+        for sub in itertools.combinations(s, r)
+    )
+
+
+def closure_weight_level(res, closure, alpha):
+    """max_weight_level by a scan of the downward-closed lattice."""
+    idx = integral_components(res, alpha)
+    sizes = [len(j) for j in closure if j <= idx]
+    return max(sizes, default=0) - 1
+
+
+def closure_lc_center(res, closure, alpha=None):
+    """minimal_lc_center by a scan of the downward-closed lattice."""
+    threshold = lct(res)
+    if alpha is None:
+        alpha = -threshold
+    alpha = Fraction(alpha)
+    idx = integral_components(res, alpha)
+    for i in sorted(idx):
+        c = res.components[i]
+        if Fraction(c.k + 1, c.e) != threshold:
+            raise HypothesisError(
+                f"component {c.label!r} has integral index but ratio "
+                f"{Fraction(c.k + 1, c.e)} != lct {threshold}"
+            )
+    candidates = [j for j in closure if j <= idx]
+    if not candidates:
+        return set()
+    depth = max(len(j) for j in candidates)
+    return {frozenset(j) for j in candidates if len(j) == depth}

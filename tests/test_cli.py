@@ -98,6 +98,12 @@ class TestNumbers:
 
 
 class TestResolution:
+    def test_file_bounds_with_strata(self, tmp_path):
+        p = tmp_path / "res.json"
+        p.write_text(json.dumps({"components": [{"label": "E", "e": 2, "k": 1}]}))
+        code, text = invoke("resolution", "--file", str(p), "bounds", "--strata", "2:3, 3:5")
+        assert code == 0 and text == "lower: 1\nupper: 3/2\n"
+
     def test_builtin_bounds(self):
         code, text = invoke(
             "resolution", "--builtin", "hyperelliptic_theta(5)", "bounds"
@@ -186,6 +192,26 @@ class TestInputErrors:
         assert code == 2 and text == ""
         self.assert_one_error_line(capsys)
 
+    def test_symbolic_power_bad_stratum(self, capsys):
+        code, text = invoke("criteria", "symbolic-power", "--codim=-1", "--m", "0",
+                            "--level", "0", "--alpha", "0")
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == "error: need codim >= 1 and m >= 2\n"
+
+    @pytest.mark.parametrize("strata", ["2", "2:3,3", "2:x", "2:3:4", "-2:3"])
+    def test_malformed_strata(self, tmp_path, capsys, strata):
+        p = tmp_path / "res.json"
+        p.write_text(json.dumps({"components": [{"label": "E", "e": 2, "k": 1}]}))
+        code, text = invoke("resolution", "--file", str(p), "bounds", f"--strata={strata}")
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            "error: --strata takes m:codim pairs, e.g. 2:3,3:5\n")
+
+    def test_strata_with_builtin(self, capsys):
+        code, text = invoke("resolution", "--builtin", "secant(3)", "bounds", "--strata", "2:3")
+        assert code == 2 and text == ""
+        self.assert_one_error_line(capsys)
+
     def test_negative_level(self, capsys):
         code, text = invoke(
             "ideal", "--class", "diagonal", "--params", "2,3", "--k", "-5", "--alpha", "0"
@@ -257,6 +283,55 @@ def test_argv_fuzz(command, klass, params, cutoff, k, alpha):
         argv.append(f"--cutoff={cutoff}")
     if command == "ideal":
         argv += [f"--k={k}", f"--alpha={alpha}"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv, out=io.StringIO())
+    assert code in (0, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+_FAMILIES = ["hyperelliptic_theta", "bn_general_theta", "determinantal", "secant",
+             "cubic_threefold"]
+_ALPHAS = ["0", "1", "-1", "1/2", "-1/2", "-2/3", "5/3"]
+
+
+@st.composite
+def _other_argv(draw):
+    """Well-formed argv for gdim, hodge, criteria and resolution --builtin."""
+    small = st.integers(-2, 6)
+    alpha = "--alpha=" + draw(st.sampled_from(_ALPHAS))
+    command = draw(st.sampled_from(["gdim", "hodge", "criteria", "resolution"]))
+    if command == "gdim":
+        return ["gdim", *(f"--{f}={draw(small)}" for f in "nmk"), alpha]
+    if command == "hodge":
+        argv = ["hodge", *(f"--{f}={draw(small)}" for f in ("ambient-dim", "degree", "level"))]
+        if draw(st.booleans()):
+            argv.append(f"--eigen={draw(small)}/{draw(small)}")
+        return argv
+    if command == "criteria":
+        flags = {
+            "nontriviality": ["n", "d", "m"],
+            "symbolic-power": ["codim", "m", "level"],
+            "threshold": ["codim", "m"],
+            "indep-conditions": ["n", "m", "d"],
+        }
+        which = draw(st.sampled_from(sorted(flags)))
+        argv = ["criteria", which, *(f"--{f}={draw(small)}" for f in flags[which])]
+        return argv + [alpha] if which == "symbolic-power" else argv
+    family = draw(st.sampled_from(_FAMILIES))
+    n = draw(st.none() | st.integers(-1, 60))
+    action = draw(st.sampled_from(["lct", "bounds", "weight-level", "lc-center"]))
+    argv = ["resolution", "--builtin", family if n is None else f"{family}({n})", action]
+    return argv + [alpha] if draw(st.booleans()) else argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_other_argv())
+def test_argv_fuzz_other_commands(argv):
+    """Well-formed argv for the remaining subcommands: exit 0, 2 or 3, never
+    an exception, and one `error:` line on stderr for a nonzero exit."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = run(argv, out=io.StringIO())

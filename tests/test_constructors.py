@@ -222,14 +222,15 @@ class TestThomSebastianiOracle:
             assert (_chain(spectrum_thom_sebastiani, m_vec, cutoff)
                     == _chain(split_thom_sebastiani, m_vec, cutoff))
 
-    @pytest.mark.parametrize("v1, v2, cutoff", [
-        (spectrum_ordinary_fermat(3, 3, 3), spectrum_one_var(4, 3), F(5, 2)),
-        (spectrum_diagonal((2, 3), 3), spectrum_one_var(3, F(5, 2)), F(5, 2)),
-        (spectrum_diagonal((2, 3), 3), spectrum_diagonal((2, 2), F(7, 3)), 2),
+    @pytest.mark.parametrize("f1, args1, f2, args2, cutoff", [
+        (spectrum_ordinary_fermat, (3, 3, 3), spectrum_one_var, (4, 3), F(5, 2)),
+        (spectrum_diagonal, ((2, 3), 3), spectrum_one_var, (3, F(5, 2)), F(5, 2)),
+        (spectrum_diagonal, ((2, 3), 3), spectrum_diagonal, ((2, 2), F(7, 3)), 2),
         # the next sum 4/3 lies past both factors' 13/10: the probe is 13/10
-        (spectrum_one_var(2, F(13, 10)), spectrum_one_var(3, F(13, 10)), F(6, 5)),
+        (spectrum_one_var, (2, F(13, 10)), spectrum_one_var, (3, F(13, 10)), F(6, 5)),
     ], ids=["fermat-power", "diagonal-power", "diagonal-diagonal", "factor-cutoff-probe"])
-    def test_mixed(self, v1, v2, cutoff):
+    def test_mixed(self, f1, args1, f2, args2, cutoff):
+        v1, v2 = f1(*args1), f2(*args2)
         assert (spectrum_thom_sebastiani(v1, v2, cutoff)
                 == split_thom_sebastiani(v1, v2, cutoff))
 

@@ -100,6 +100,11 @@ class TestCriteria:
     def test_symbolic_power_negative_is_zero(self):
         assert symbolic_power_exponent(5, 2, 1, 0) == 0
 
+    @pytest.mark.parametrize("codim, m", [(-1, 0), (0, 2), (3, 1), (3, 0), (3, -2)])
+    def test_symbolic_power_rejects_bad_stratum(self, codim, m):
+        with pytest.raises(ValueError, match="need codim >= 1 and m >= 2"):
+            symbolic_power_exponent(codim, m, 0, 0)
+
     def test_containment_threshold(self):
         assert containment_threshold(2, 2) == 1
         assert containment_threshold(3, 2) == 1

@@ -5,6 +5,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hmideals import (
     Component,
@@ -22,6 +23,7 @@ from hmideals import (
     nc_ideal,
     weighted_nc_local,
 )
+from oracles import closure_lc_center, closure_weight_level, downward_close
 
 
 def I(n, *gens):
@@ -79,17 +81,26 @@ class TestWeightLevel:
         assert max_weight_level(cusp_res, F(-1, 7)) == -1
 
     def test_lattice_downward_closed(self, cusp_res):
-        for j in cusp_res.lattice:
+        closure = downward_close(cusp_res.lattice, len(cusp_res.components))
+        for j in closure:
             for i in j:
-                assert frozenset([i]) in cusp_res.lattice
+                assert frozenset([i]) in closure
 
     def test_lattice_pinned(self, cusp_res):
-        assert cusp_res.lattice == frozenset(
+        assert downward_close(cusp_res.lattice, 4) == frozenset(
             frozenset(j) for j in [[0], [1], [2], [3], [0, 3], [1, 3], [2, 3]]
         )
         # 11 mutually intersecting components: every nonempty subset
-        lattice = builtin_family("hyperelliptic_theta", 21)["resolution"].lattice
-        assert len(lattice) == 2047 and frozenset(range(11)) in lattice
+        res = builtin_family("hyperelliptic_theta", 21)["resolution"]
+        closure = downward_close(res.lattice, 11)
+        assert len(closure) == 2047 and frozenset(range(11)) in closure
+
+    def test_stored_sets_pinned(self, cusp_res):
+        assert cusp_res.lattice == frozenset(
+            frozenset(j) for j in [[0, 3], [1, 3], [2, 3]]
+        )
+        res = builtin_family("hyperelliptic_theta", 21)["resolution"]
+        assert res.lattice == frozenset([frozenset(range(11))])
 
 
 class TestLcCenter:
@@ -112,6 +123,63 @@ class TestLcCenter:
             maximal_intersections=[[0, 1, 2]],
         )
         assert minimal_lc_center(res) == {frozenset([0, 1, 2])}
+
+
+def _outcome(query, *args):
+    """The query's value, or the HypothesisError it raises, by message."""
+    try:
+        return query(*args)
+    except HypothesisError as exc:
+        return ("HypothesisError", str(exc))
+
+
+def _assert_matches_closure(res, listed, alphas):
+    closure = downward_close(listed, len(res.components))
+    assert downward_close(res.lattice, len(res.components)) == closure
+    for alpha in alphas:
+        assert max_weight_level(res, alpha) == closure_weight_level(res, closure, alpha)
+    for alpha in (None, *alphas):
+        assert (_outcome(minimal_lc_center, res, alpha)
+                == _outcome(closure_lc_center, res, closure, alpha))
+
+
+class TestMaximalSetsOracle:
+    """The lattice stored by its maximal sets against the downward closure
+    and the scans over it that the library used before."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        comps=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 6)),
+                       min_size=1, max_size=7),
+        data=st.data(),
+        alpha=st.fractions(min_value=-2, max_value=1, max_denominator=6),
+    )
+    def test_random_lattices(self, comps, data, alpha):
+        n = len(comps)
+        listed = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n),
+                                    max_size=4))
+        res = ResolutionData.build(
+            [Component(f"E{i}", e, k) for i, (e, k) in enumerate(comps)], listed
+        )
+        stored = res.lattice
+        assert all(stored) and not any(a < b for a in stored for b in stored)
+        _assert_matches_closure(res, listed, [alpha, -lct(res)])
+        from_closure = ResolutionData(res.components, downward_close(listed, n))
+        assert from_closure == res and hash(from_closure) == hash(res)
+        assert ResolutionData.build(res.components, stored) == res
+
+    def test_builtins(self):
+        families = (
+            [("hyperelliptic_theta", g) for g in range(3, 25)]
+            + [("bn_general_theta", g) for g in range(4, 25)]
+            + [("determinantal", n) for n in range(2, 9)]
+            + [("secant", n) for n in range(1, 11)]
+            + [("cubic_threefold",)]
+        )
+        for name, *params in families:
+            res = builtin_family(name, *params)["resolution"]
+            listed = [range(len(res.components))]
+            _assert_matches_closure(res, listed, [-1, F(-1, 2), F(-1, 3), F(-2, 3)])
 
 
 class TestWeightedNcLocal:
