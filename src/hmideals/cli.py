@@ -77,10 +77,8 @@ def build_spectrum(klass: str, params, cutoff=None):
     m_vec = _exponents(klass, params)
     if cutoff is None:
         cutoff = _first_jump_estimate(m_vec) + 3
-    if klass == "diagonal":
+    if klass in ("diagonal", "power"):
         return spectrum_diagonal(m_vec, cutoff)
-    if klass == "power":
-        return spectrum_one_var(m_vec[0], cutoff)
     if klass == "fermat-cone":
         return spectrum_ordinary_fermat(*params, cutoff)
     # ts
@@ -364,7 +362,8 @@ def run(argv=None, out=None) -> int:
     try:
         return args.func(args, out)
     except CutoffExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        hint = "" if exc.needed is None else f"; rerun with --cutoff >= {fmt_rat(exc.needed)}"
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 3
     except (ValueError, HypothesisError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

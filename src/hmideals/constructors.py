@@ -1,18 +1,16 @@
 """Closed-form spectrum and ideal constructors for the divisor classes in scope.
 
-Three spectrum builders (diagonal sums of powers, their one-variable
-specialization, and homogeneous cones over smooth projective hypersurfaces)
-plus the normal-crossing, power-scaling and Q-divisor ideal formulas.  All
+One spectrum builder for every sum of powers (the diagonal staircase; the
+power and the Fermat cone are special cases), the Thom-Sebastiani rule, and
+the normal-crossing, power-scaling and Q-divisor ideal formulas.  All
 enumeration is exact; cutoffs are explicit and never extrapolated.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from fractions import Fraction
-from operator import add
 
 from .errors import CutoffExceededError
 from .monomial import MonIdeal, squarefree_ideal, unit_ideal
@@ -130,45 +128,10 @@ def spectrum_one_var(m: int, cutoff) -> VSpectrum:
 
 
 def spectrum_ordinary_fermat(n: int, m: int, cutoff) -> VSpectrum:
-    """Spectrum of the cone over the Fermat hypersurface of degree m in n variables.
-
-    The value at beta is generated by products J^a * v with
-    m*a + deg(v) >= ceil(m*beta) - n, where J is the Jacobian ideal
-    (pure (m-1)-th powers) and v runs over monomials with all exponents
-    <= m-2.  Jumps occur only at multiples of 1/m.
-    """
+    """Spectrum of the Fermat cone z_1^m + ... + z_n^m: diagonal, all m_j = m."""
     if n < 2 or m < 2:
         raise ValueError("need n >= 2 and m >= 2")
-    cutoff = Fraction(cutoff)
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    top = n * (m - 2)
-    # The v basis bucketed by degree, from one pass over its box.
-    basis = [[] for _ in range(top + 1)]
-    for v in itertools.product(range(m - 1), repeat=n):
-        basis[sum(v)].append(v)
-    jacobian = MonIdeal(n, tuple(tuple((m - 1) * (i == j) for i in range(n)) for j in range(n)))
-    powers = [unit_ideal(n)]  # J^a, each computed once across all levels
-
-    def value(j: int) -> MonIdeal:
-        # value on ((j-1)/m, j/m]: threshold m*a + deg(v) >= j - n
-        need = j - n
-        if need <= 0:
-            return unit_ideal(n)
-        prods = []
-        for a in range(-(-need // m) + 1):
-            d = max(0, need - m * a)
-            if d > top:
-                continue
-            while len(powers) <= a:
-                powers.append(powers[-1] * jacobian)
-            prods += [tuple(map(add, g, v)) for g in powers[a].gens for v in basis[d]]
-        return MonIdeal(n, tuple(prods))
-
-    j_max = math.floor(m * cutoff)
-    points = [Fraction(j, m) for j in range(1, j_max + 2)]
-    values = [value(j) for j in range(1, j_max + 2)]
-    return spectrum_from_step(n, cutoff, points, values)
+    return spectrum_diagonal((m,) * n, cutoff)
 
 
 def spectrum_thom_sebastiani(v1: VSpectrum, v2: VSpectrum, cutoff) -> VSpectrum:

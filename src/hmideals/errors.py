@@ -6,7 +6,12 @@ class DimensionError(ValueError):
 
 
 class CutoffExceededError(ValueError):
-    """A filtration query lies beyond the cutoff a spectrum guarantees."""
+    """A filtration query lies beyond the cutoff a spectrum guarantees; needed,
+    when there is one, is the least cutoff that answers it."""
+
+    def __init__(self, message, needed=None):
+        super().__init__(message)
+        self.needed = needed
 
 
 class HypothesisError(ValueError):

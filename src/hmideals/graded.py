@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 
 @dataclass(frozen=True)
@@ -52,14 +53,11 @@ def milnor_hilbert(n: int, m: int) -> HilbertPoly:
     """Hilbert function of the Jacobian ring for degree m in n variables."""
     if n < 1 or m < 2:
         raise ValueError("need n >= 1 and m >= 2")
-    block = [1] * (m - 1)  # 1 + t + ... + t^{m-2}
     coeffs = [1]
     for _ in range(n):
-        out = [0] * (len(coeffs) + len(block) - 1)
-        for i, a in enumerate(coeffs):
-            for j, b in enumerate(block):
-                out[i + j] += a * b
-        coeffs = out
+        # times (1 - t^{m-1}) / (1 - t): a difference, then prefix sums
+        shifted = [0] * (m - 1) + coeffs
+        coeffs = list(accumulate(a - b for a, b in zip(coeffs + [0] * (m - 2), shifted)))
     return HilbertPoly(tuple(coeffs))
 
 
@@ -74,6 +72,8 @@ def gdim_ordinary(n: int, m: int, k: int, alpha) -> int:
     """
     if n < 1 or m < 2:
         raise ValueError("need n >= 1 and m >= 2")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     alpha = Fraction(alpha)
     if (m * alpha).denominator != 1:
         return 0

@@ -50,7 +50,9 @@ class VSpectrum:
         below the cutoff when strict."""
         if not 0 < beta <= self.cutoff or (strict and beta == self.cutoff):
             end = ")" if strict else "]"
-            raise CutoffExceededError(f"beta={beta} outside (0, {self.cutoff}{end})")
+            # the value just above beta has no least cutoff
+            needed = beta if beta > 0 and not strict else None
+            raise CutoffExceededError(f"beta={beta} outside (0, {self.cutoff}{end}", needed)
         find = bisect.bisect_right if strict else bisect.bisect_left
         i = find(self.jumps, beta, key=itemgetter(0))
         return self.jumps[i - 1][1] if i else unit_ideal(self.n)

@@ -33,7 +33,13 @@ from hmideals import (
 )
 
 from conftest import CRITERION_LINES
-from oracles import bfunction_classes, hilbert_coeff, howald_multiplier, permute_ideal
+from oracles import (
+    bfunction_classes,
+    hilbert_coeff,
+    howald_multiplier,
+    permute_ideal,
+    sum_fermat_cone,
+)
 
 
 def I(n, *gens):
@@ -131,9 +137,11 @@ def _fermat_grid():
 
 @lru_cache(maxsize=None)
 def _fermat_pair(n, m):
+    """The cone's spectrum from the rho criterion (the library) and from the
+    graded generators J^a * v (the sum-of-ideals oracle)."""
     cutoff = F(n, m) + 2
     return (spectrum_diagonal((m,) * n, cutoff),
-            spectrum_ordinary_fermat(n, m, cutoff))
+            sum_fermat_cone(n, m, cutoff))
 
 
 def test_criterion_04_fermat_double_derivation():
@@ -186,7 +194,7 @@ def test_criterion_06_hodge_numbers():
 def test_criterion_07_gdim_cross_check():
     failures = []
     for n, m in _fermat_grid():
-        _, v = _fermat_pair(n, m)
+        v, _ = _fermat_pair(n, m)
         alphas = [F(-p, m) for p in range(m)] + [F(-1)]
         for k in range(0, int(v.cutoff) + 2):
             for alpha in alphas:

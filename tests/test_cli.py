@@ -90,6 +90,11 @@ class TestNumbers:
         code, text = invoke("hodge", "--ambient-dim", "4", "--degree", "5", "--level", "2")
         assert code == 0 and text.strip() == "101"
 
+    def test_hodge_large_degree(self):
+        # the Jacobian-ring Hilbert function of 90 variables in degree 90
+        code, text = invoke("hodge", "--ambient-dim", "89", "--degree", "90", "--level", "1")
+        assert code == 0 and text.strip() == "1"
+
     def test_criteria_indep_conditions(self):
         code, text = invoke(
             "criteria", "indep-conditions", "--n", "3", "--m", "2", "--d", "5"
@@ -147,12 +152,14 @@ class TestExitCodes:
         code, _ = invoke("spectrum", "--class", "generic", "--params", "2")
         assert code == 2
 
-    def test_cutoff_exceeded(self):
-        code, _ = invoke(
+    def test_cutoff_exceeded(self, capsys):
+        code, text = invoke(
             "ideal", "--class", "diagonal", "--params", "2,3",
             "--k", "5", "--alpha", "0", "--cutoff", "2",
         )
-        assert code == 3
+        assert code == 3 and text == ""
+        assert capsys.readouterr().err == (
+            "error: beta=5 outside (0, 2]; rerun with --cutoff >= 5\n")
 
     def test_missing_file(self):
         code, _ = invoke("resolution", "--file", "/nonexistent.json", "lct")
@@ -216,6 +223,11 @@ class TestInputErrors:
         code, text = invoke(
             "ideal", "--class", "diagonal", "--params", "2,3", "--k", "-5", "--alpha", "0"
         )
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == "error: k must be >= 0\n"
+
+    def test_gdim_negative_level(self, capsys):
+        code, text = invoke("gdim", "--n", "3", "--m", "3", "--k", "-1", "--alpha", "0")
         assert code == 2 and text == ""
         assert capsys.readouterr().err == "error: k must be >= 0\n"
 

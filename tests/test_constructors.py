@@ -85,8 +85,8 @@ class TestDiagonal:
 
     def test_five_quintics(self):
         # The box enumeration does not finish on this input (about 5.1M
-        # lattice points); spectrum_ordinary_fermat(5, 5, 3) gives the same
-        # spectrum, but takes seconds.
+        # lattice points); the staircase kernel takes about 60 ms on a 2-CPU
+        # host, and spectrum_ordinary_fermat(5, 5, 3) is the same call.
         v = spectrum_diagonal((5,) * 5, 3)
         assert v.jumping_numbers() == [F(k, 5) for k in range(5, 16)]
         assert [i for _, i in v.jumps[:4]] == [max_ideal_power(5, d) for d in (1, 2, 3, 4)]
@@ -135,6 +135,16 @@ class TestDiagonalOracle:
         assert spectrum_diagonal(m_vec, cutoff) == box_spectrum_diagonal(m_vec, cutoff)
 
 
+# Cutoffs relative to the cone's first jump n/m; n/m + 1 is a later jump.
+_FERMAT_CUTOFFS = {
+    "off-lattice": lambda n, m: F(n, m) + F(1, 7),
+    "below-first": lambda n, m: F(n, m) - F(1, 7 * m),
+    "on-first": lambda n, m: F(n, m),
+    "on-next": lambda n, m: F(n, m) + 1,
+}
+_FERMAT_GRID = [*itertools.product(range(2, 5), range(2, 6)), (5, 2), (5, 3)]
+
+
 class TestFermatCone:
     def test_cubic_cone_first_jumps(self):
         v = spectrum_ordinary_fermat(3, 3, 3)
@@ -160,14 +170,24 @@ class TestFermatCone:
 
     @pytest.mark.parametrize("step", [F(1, 2), F(1), F(3, 2)])
     def test_sum_oracle(self, step):
-        """The one-pass construction against the sum of ideals it replaced, at the
+        """The diagonal kernel against the sum of ideals J^a * v, at the
         benchmark's cutoffs n/m + step."""
         for n, m in itertools.product(range(2, 5), range(2, 6)):
             cutoff = F(n, m) + step
             assert spectrum_ordinary_fermat(n, m, cutoff) == sum_fermat_cone(n, m, cutoff)
 
+    @pytest.mark.parametrize("kind", list(_FERMAT_CUTOFFS))
+    def test_sum_oracle_probe(self, kind):
+        """Cutoffs where the kernel's probe (the first weight past the cutoff)
+        and the oracle's (the next multiple of 1/m) differ: off the 1/m
+        lattice, below the first jump, and on a jump."""
+        for n, m in _FERMAT_GRID:
+            cutoff = _FERMAT_CUTOFFS[kind](n, m)
+            assert spectrum_ordinary_fermat(n, m, cutoff) == sum_fermat_cone(n, m, cutoff)
+
     def test_four_quartics_to_five(self):
-        """A cutoff whose levels have thousands of candidate products."""
+        """A cone with hundreds of minimal generators at its last jumps,
+        against the Thom-Sebastiani chain of its factors."""
         v = spectrum_ordinary_fermat(4, 4, 5)
         assert v == spectrum_diagonal((4,) * 4, 5)
         assert v == _chain(spectrum_thom_sebastiani, (4,) * 4, 5)

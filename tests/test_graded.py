@@ -43,6 +43,11 @@ class TestMilnorHilbert:
         h = milnor_hilbert(2, 3)
         assert h[-1] == 0 and h[h.top + 1] == 0
 
+    def test_large_matches_series_expansion(self):
+        h = milnor_hilbert(30, 30)
+        assert h.top == 30 * 28
+        assert list(h.coeffs) == [hilbert_coeff(30, 30, d) for d in range(h.top + 1)]
+
 
 class TestGdimOrdinary:
     def test_fermat_cubic_surface_cone(self):
@@ -51,6 +56,12 @@ class TestGdimOrdinary:
 
     def test_zero_off_lattice(self):
         assert gdim_ordinary(3, 3, 1, F(-1, 2)) == 0
+
+    @pytest.mark.parametrize("alpha", [F(-1), F(0), F(2)])
+    def test_negative_level_rejected(self, alpha):
+        # checked before alpha > 0 shifts the level down
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            gdim_ordinary(3, 3, -1, alpha)
 
     def test_vanishes_below_threshold(self):
         # G_{k,alpha} = 0 when k - alpha < n/m

@@ -96,6 +96,20 @@ class TestValueAfter:
             cusp.value_after(F(13, 6))
 
 
+@pytest.mark.parametrize("query, beta, message, needed", [
+    ("value_at", F(7, 3), "beta=7/3 outside (0, 13/6]", F(7, 3)),
+    ("value_after", F(13, 6), "beta=13/6 outside (0, 13/6)", None),
+    ("value_at", F(0), "beta=0 outside (0, 13/6]", None),
+])
+def test_cutoff_error_names_needed_cutoff(cusp, query, beta, message, needed):
+    """The least cutoff that answers the query; none for a value just above
+    beta, or for beta below the range."""
+    with pytest.raises(CutoffExceededError) as info:
+        getattr(cusp, query)(beta)
+    assert str(info.value) == message
+    assert info.value.needed == needed
+
+
 class TestHmi:
     def test_nonpositive_index_is_unit(self, cusp):
         assert cusp.hmi(0, 0) == unit_ideal(2)
