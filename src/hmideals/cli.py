@@ -38,7 +38,6 @@ from .constructors import (
     spectrum_ordinary_fermat,
     spectrum_thom_sebastiani,
 )
-from .vspectrum import periodicity_twist
 
 
 def _parse_params(text: str):
@@ -127,7 +126,7 @@ def cmd_ideal(args, out):
     alpha = parse_rat(args.alpha)
     cutoff = args.cutoff
     if cutoff is None:
-        cutoff = _first_jump_estimate(m_vec) + 3 + args.k + periodicity_twist(alpha)
+        cutoff = _first_jump_estimate(m_vec) + 3 + args.k
     spect = build_spectrum(args.klass, params, cutoff)
     f_exps = m_vec if args.klass == "power" else None
     twisted = spect.hmi_twisted(args.k, alpha, f_exps)

@@ -159,37 +159,24 @@ class MonIdeal:
         Finite iff the ideal is unit or every variable has a pure-power
         generator.
         """
-        if self.is_unit():
-            return 0
-        box = []
-        for i in range(self.n):
-            pure = [g[i] for g in self.gens if all(g[j] == 0 for j in range(self.n) if j != i)]
-            if not pure:
-                return INFINITE
-            box.append(min(pure))
-        count = 0
-        for nu in itertools.product(*(range(b) for b in box)):
-            if not self.contains(nu):
-                count += 1
-        return count
+        return unit_ideal(self.n).count_outside(self)
 
     def count_outside(self, inner: "MonIdeal"):
         """Count monomials in self but not in inner (inner must be a subideal).
 
-        Returns INFINITE when the staircase difference region is unbounded,
-        decided by a bounding-box analysis.
+        Every generator of either ideal lies in the box of their largest
+        exponents, so raising a coordinate past the box's far face never
+        changes membership.  The difference is therefore INFINITE iff one of
+        its monomials lies on a far face (it spawns a ray), and otherwise it
+        is counted inside the box.
         """
         self._same_n(inner)
         if not inner.subset(self):
             raise ValueError("count_outside expects a subideal")
-        if inner.is_zero():
-            return INFINITE if not self.is_zero() else 0
-        # Any difference monomial nu with nu_j >= max generator j-degree of
-        # inner spawns an unbounded ray nu + t*e_j inside the difference.
-        box = tuple(max(g[j] for g in inner.gens) for j in range(self.n))
+        box = tuple(map(max, zip((0,) * self.n, *self.gens, *inner.gens)))
         count = 0
         for nu in itertools.product(*(range(b + 1) for b in box)):
-            if self.contains(nu) and not inner.contains(nu):
+            if not inner.contains(nu) and self.contains(nu):
                 if any(nu[j] == box[j] for j in range(self.n)):
                     return INFINITE
                 count += 1

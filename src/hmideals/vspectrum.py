@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import CutoffExceededError
-from .monomial import INFINITE, MonIdeal, unit_ideal
+from .monomial import MonIdeal, unit_ideal
 from .rat import fmt_rat, parse_rat
 
 
@@ -90,7 +90,7 @@ class VSpectrum:
         into the ideal and f_power comes back 0.
         """
         alpha = Fraction(alpha)
-        t = periodicity_twist(alpha)
+        t = max(0, math.ceil(-alpha) - 1)  # least t >= 0 with alpha + t >= -1
         ideal = self.hmi(k, alpha + t)
         if f_exps is not None and t > 0:
             folded = ideal.scale(tuple(t * e for e in f_exps))
@@ -110,13 +110,7 @@ class VSpectrum:
 
     def graded_dim(self, k: int, alpha: Fraction):
         """Monomial count of hmi(k, alpha) modulo hmi_lt(k, alpha)."""
-        outer = self.hmi(k, alpha)
-        inner = self.hmi_lt(k, alpha)
-        outer_col = outer.colength()
-        inner_col = inner.colength()
-        if inner_col is not INFINITE and outer_col is not INFINITE:
-            return inner_col - outer_col
-        return outer.count_outside(inner)
+        return self.hmi(k, alpha).count_outside(self.hmi_lt(k, alpha))
 
     def bs_root_classes(self):
         """Jumping numbers negated and reduced mod Z into [-1, 0), plus -1.
@@ -152,12 +146,6 @@ class VSpectrum:
                 for j in data["jumps"]
             ),
         )
-
-
-def periodicity_twist(alpha: Fraction) -> int:
-    """Least t >= 0 with alpha + t >= -1: the power of f that hmi_twisted
-    splits off to bring the index into the range the spectrum stores."""
-    return max(0, math.ceil(-alpha) - 1)
 
 
 @dataclass(frozen=True)

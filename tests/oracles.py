@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from hmideals.errors import CutoffExceededError, HypothesisError
-from hmideals.monomial import MonIdeal, divides, unit_ideal
+from hmideals.monomial import INFINITE, MonIdeal, divides, unit_ideal
 from hmideals.resolution import integral_components, lct
 from hmideals.vspectrum import spectrum_from_step
 
@@ -194,6 +194,29 @@ def pairwise_subset(inner, outer):
     each generator of inner (the containment test the library used before
     its packed divisibility test)."""
     return all(any(divides(h, g) for h in outer.gens) for g in inner.gens)
+
+
+def box_colength(ideal):
+    """Number of monomials outside the ideal, or INFINITE, by a count over
+    the box of the least pure power of each variable (the colength the
+    library used before it became a count_outside call).
+
+    Finite iff the ideal is unit or every variable has a pure-power
+    generator.
+    """
+    if ideal.is_unit():
+        return 0
+    box = []
+    for i in range(ideal.n):
+        pure = [g[i] for g in ideal.gens if all(g[j] == 0 for j in range(ideal.n) if j != i)]
+        if not pure:
+            return INFINITE
+        box.append(min(pure))
+    count = 0
+    for nu in itertools.product(*(range(b) for b in box)):
+        if not ideal.contains(nu):
+            count += 1
+    return count
 
 
 def sum_fermat_cone(n, m, cutoff):

@@ -72,6 +72,14 @@ class TestIdeal:
         )
         assert code == 0 and text == "f^1 * x, y^2\n"
 
+    def test_deep_twist(self):
+        """The default cutoff does not grow with the twist: hmi_twisted reads
+        beta <= k + 1 whatever alpha is."""
+        code, text = invoke(
+            "ideal", "--class", "diagonal", "--params", "3,3,3", "--k", "1", "--alpha=-60"
+        )
+        assert code == 0 and text == "f^59 * x^2, x*y*z, y^2, z^2\n"
+
     def test_twisted_power(self):
         code, text = invoke(
             "ideal", "--class", "power", "--params", "1", "--k", "0", "--alpha", "-2"

@@ -107,6 +107,11 @@ class TestColength:
     def test_unit(self):
         assert unit_ideal(3).colength() == 0
 
+    def test_zero_variables(self):
+        # the ring is the field: one monomial, 1
+        assert zero_ideal(0).colength() == 1
+        assert unit_ideal(0).colength() == 0
+
 
 class TestCountOutside:
     def test_finite_difference(self):
@@ -124,6 +129,18 @@ class TestCountOutside:
     def test_infinite_strip(self):
         # (y) / (x y): monomials y^b, b >= 1, all outside the inner ideal
         assert I(2, (0, 1)).count_outside(I(2, (1, 1))) is INFINITE
+
+    def test_outer_generator_past_inner_box(self):
+        # (x^5, y) / (y): the monomials x^a, a >= 5, lie past every exponent
+        # of the inner ideal
+        assert I(2, (5, 0), (0, 1)).count_outside(I(2, (0, 1))) is INFINITE
+
+    def test_zero_variables(self):
+        assert unit_ideal(0).count_outside(zero_ideal(0)) == 1
+        assert unit_ideal(0).count_outside(unit_ideal(0)) == 0
+
+    def test_zero_outer(self):
+        assert zero_ideal(2).count_outside(zero_ideal(2)) == 0
 
     def test_not_contained_raises(self):
         with pytest.raises(ValueError):

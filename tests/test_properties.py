@@ -6,7 +6,7 @@ but explore the input space adaptively and shrink counterexamples.
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hmideals import (
     INFINITE,
@@ -21,7 +21,7 @@ from hmideals import (
     unit_ideal,
 )
 
-from oracles import howald_multiplier, permute_ideal
+from oracles import box_colength, howald_multiplier, permute_ideal
 
 m_vecs = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
 small_m_vecs = st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple)
@@ -29,6 +29,23 @@ neg_alphas = st.fractions(min_value=F(-1), max_value=0, max_denominator=6)
 
 exps = st.tuples(st.integers(0, 5), st.integers(0, 5))
 ideals2 = st.lists(exps, min_size=1, max_size=5).map(lambda g: MonIdeal(2, tuple(g)))
+
+
+@st.composite
+def small_ideals(draw, n, top=4):
+    """Up to four drawn generators in n variables, plus a pure power of each
+    variable that the draw keeps, so finite and infinite colengths occur."""
+    gens = draw(st.lists(st.tuples(*[st.integers(0, top)] * n), max_size=4))
+    for i in range(n):
+        power = draw(st.none() | st.integers(1, top))
+        if power is not None:
+            gens.append(tuple(power if j == i else 0 for j in range(n)))
+    return MonIdeal(n, tuple(gens))
+
+
+def ideal_pairs(dims):
+    return st.sampled_from(dims).flatmap(
+        lambda n: st.tuples(small_ideals(n), small_ideals(n)))
 
 
 import functools
@@ -66,13 +83,41 @@ class TestIdealAlgebra:
         p = a * b
         assert p.subset(a) and p.subset(b)
 
-    @given(ideals2, ideals2)
-    def test_count_outside_matches_colengths(self, a, b):
+    @given(ideal_pairs((2, 3)))
+    def test_count_outside_matches_colengths(self, pair):
+        a, b = pair
         outer, inner = a + b, a * b
-        co_out, co_in = outer.colength(), inner.colength()
+        co_out, co_in = box_colength(outer), box_colength(inner)
         diff = outer.count_outside(inner)
         if co_out is not INFINITE and co_in is not INFINITE:
             assert diff == co_in - co_out
+        elif co_out is not INFINITE:
+            assert diff is INFINITE
+
+    @given(ideal_pairs((1, 2, 3)))
+    def test_count_outside_matches_truncations(self, pair):
+        """outer / inner against the colengths of both plus (x_i^t): their
+        difference counts the monomials of outer / inner below t in every
+        variable, which stops growing past the largest exponent iff the
+        difference is finite."""
+        a, b = pair
+        outer, inner = a + b, b
+        n = outer.n
+        top = max((e for g in outer.gens + inner.gens for e in g), default=0) + 1
+
+        def below(t):
+            cap = MonIdeal(n, tuple(tuple(t * (i == j) for j in range(n)) for i in range(n)))
+            return box_colength(inner + cap) - box_colength(outer + cap)
+
+        count = below(top)
+        assert outer.count_outside(inner) == (count if below(top + 1) == count else INFINITE)
+
+    @example(MonIdeal(2, ((1, 1),)))
+    @example(MonIdeal(3, ()))
+    @example(MonIdeal(0, ()))
+    @given(st.integers(0, 3).flatmap(small_ideals))
+    def test_colength_matches_box_colength(self, a):
+        assert a.colength() == box_colength(a)
 
 
 class TestFiltration:

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from hmideals import (
+    INFINITE,
     CutoffExceededError,
     MonIdeal,
     VSpectrum,
@@ -240,6 +241,13 @@ class TestDerived:
 
     def test_graded_dim_node(self, node):
         assert node.graded_dim(1, 0) == 1
+
+    def test_graded_dim_not_m_primary(self):
+        # (x) on (1, 2], (x^2, x*y) on (2, 3]: every value but the unit ideal
+        # has infinite colength
+        v = VSpectrum(2, F(3), ((F(1), I(2, (1, 0))), (F(2), I(2, (2, 0), (1, 1)))))
+        assert v.graded_dim(2, 0) == 1  # x
+        assert v.graded_dim(1, 0) is INFINITE  # y^b, b >= 0
 
     def test_bs_root_classes(self, cusp, node):
         assert cusp.bs_root_classes() == {F(-1), F(-5, 6), F(-1, 6)}
