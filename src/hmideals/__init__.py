@@ -2,6 +2,8 @@
 spectra, jumping numbers, minimal exponents and resolution combinatorics of
 hypersurface singularities with closed-form filtration data."""
 
+__version__ = "0.1.0"  # the version in pyproject.toml
+
 from .errors import CutoffExceededError, DimensionError, HypothesisError
 from .monomial import (
     INFINITE,
@@ -94,5 +96,3 @@ __all__ = [
     "minimal_lc_center",
     "weighted_nc_local",
 ]
-
-__version__ = "0.1.0"

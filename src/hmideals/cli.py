@@ -12,6 +12,7 @@ import re
 import sys
 from fractions import Fraction
 
+from . import __version__
 from .errors import CutoffExceededError, HypothesisError
 from .graded import (
     StrataData,
@@ -272,6 +273,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="Exact invariants of hypersurface singularities with "
         "closed-form filtration data.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def spectrum_flags(p):
@@ -353,7 +355,7 @@ def run(argv=None, out=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help
+    except SystemExit as exc:  # --help, --version
         return 2 if exc.code not in (0, None) else 0
     except _UsageError as exc:
         print(f"error: {_usage_message(str(exc), argv)}", file=sys.stderr)

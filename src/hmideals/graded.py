@@ -9,16 +9,19 @@ the coefficients of ((1 - t^{m-1})/(1 - t))^n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
+from .frozen import Frozen
 
-@dataclass(frozen=True)
-class HilbertPoly:
+
+class HilbertPoly(Frozen):
     """Coefficient list of a polynomial in t with finite support."""
 
-    coeffs: tuple
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __getitem__(self, d: int) -> int:
         if 0 <= d < len(self.coeffs):
@@ -34,11 +37,14 @@ class HilbertPoly:
         return sum(self.coeffs)
 
 
-@dataclass(frozen=True)
-class StrataData:
+class StrataData(Frozen):
     """Multiplicity strata: pairs (m, codim of the locus of points of mult m)."""
 
-    strata: tuple  # of (m, codim)
+    __slots__ = _fields = ("strata",)  # of (m, codim)
+
+    def __init__(self, strata: tuple):
+        object.__setattr__(self, "strata", strata)
+        self.__post_init__()
 
     def __post_init__(self):
         ms = [m for m, _ in self.strata]
@@ -59,6 +65,16 @@ def milnor_hilbert(n: int, m: int) -> HilbertPoly:
         shifted = [0] * (m - 1) + coeffs
         coeffs = list(accumulate(a - b for a, b in zip(coeffs + [0] * (m - 2), shifted)))
     return HilbertPoly(tuple(coeffs))
+
+
+def hilbert_coeff(n: int, m: int, d: int) -> int:
+    """Coefficient of t^d in milnor_hilbert(n, m), in O(n) steps: expand the
+    numerator (1 - t^{m-1})^n against 1/(1 - t)^n."""
+    if n < 1 or m < 2:
+        raise ValueError("need n >= 1 and m >= 2")
+    ells = range(min(n, d // (m - 1)) + 1) if d >= 0 else ()
+    return sum((-1) ** ell * math.comb(n, ell) * math.comb(d - ell * (m - 1) + n - 1, n - 1)
+               for ell in ells)
 
 
 def gdim_ordinary(n: int, m: int, k: int, alpha) -> int:
@@ -82,14 +98,11 @@ def gdim_ordinary(n: int, m: int, k: int, alpha) -> int:
         k, alpha = k - t, alpha - t
         if k < 0:
             return 0
-    h = milnor_hilbert(n, m)
     target = int(m * (k - alpha)) - n  # integral since m*alpha is
-    total = 0
     lo = max(0, k - n - 1)
     hi = min(k, target // m) if target >= 0 else -1
-    for ell in range(lo, hi + 1):
-        total += math.comb(n + ell - 1, ell) * h[target - m * ell]
-    return total
+    return sum(math.comb(n + ell - 1, ell) * hilbert_coeff(n, m, target - m * ell)
+               for ell in range(lo, hi + 1))
 
 
 def hodge_prim_hypersurface(n: int, m: int, k: int) -> int:
@@ -97,7 +110,7 @@ def hodge_prim_hypersurface(n: int, m: int, k: int) -> int:
     in projective (n-1)-space, via the Griffiths residue grading."""
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
-    return milnor_hilbert(n, m)[m * k - n]
+    return hilbert_coeff(n, m, m * k - n)
 
 
 def hodge_cyclic_eigenspace(n: int, m: int, k: int, p: int) -> int:
@@ -107,7 +120,7 @@ def hodge_cyclic_eigenspace(n: int, m: int, k: int, p: int) -> int:
         raise ValueError("need 1 <= p <= m")
     if p == m:
         return 0
-    return milnor_hilbert(n, m)[m * (k + 1) - p - n]
+    return hilbert_coeff(n, m, m * (k + 1) - p - n)
 
 
 def nontriviality_data(n: int, d: int, m: int):
@@ -130,6 +143,8 @@ def symbolic_power_exponent(codim: int, m: int, ell: int, alpha) -> int:
     power of that order."""
     if codim < 1 or m < 2:
         raise ValueError("need codim >= 1 and m >= 2")
+    if ell < 0:
+        raise ValueError("level must be >= 0")
     alpha = Fraction(alpha)
     x = m * (ell - alpha) - codim
     if x < 0:
@@ -143,16 +158,16 @@ def symbolic_power_exponent(codim: int, m: int, ell: int, alpha) -> int:
 def containment_threshold(r: int, m: int) -> Fraction:
     """Smallest level from which the index -1 ideals lie inside the ideal of a
     codimension-r multiplicity-m subvariety."""
-    if m < 2:
-        raise ValueError("need m >= 2")
+    if r < 1 or m < 2:
+        raise ValueError("need codim >= 1 and m >= 2")
     return Fraction(r + 1 - math.ceil(Fraction(r) / m), m - 1) - 1
 
 
 def independent_conditions_degree(n: int, m: int, d: int) -> int:
     """Degree from which the isolated multiplicity-m points of a degree-d
     hypersurface in projective n-space impose independent conditions."""
-    if n < 3 or m < 2:
-        raise ValueError("need n >= 3 and m >= 2")
+    if n < 3 or m < 2 or d < 1:
+        raise ValueError("need n >= 3, m >= 2 and d >= 1")
     return math.ceil(Fraction(n + 1 - math.ceil(Fraction(n, m)), m - 1)) * d - n - 1
 
 

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
 from operator import add, lshift
 
 from .errors import DimensionError
+from .frozen import Frozen
 
 ExpVec = tuple
 
@@ -56,19 +56,31 @@ def _check_len(vecs, n):
             raise DimensionError(f"exponent vector {v} has length {len(v)}, expected {n}")
 
 
-@dataclass(frozen=True)
-class MonIdeal:
+class MonIdeal(Frozen):
     """A monomial ideal in n variables, stored in canonical minimal form."""
 
-    n: int
-    gens: tuple = field(default=())
+    _fields = ("n", "gens")
+    # _packing is (top, width, guard, packed gens): a slot, not a field, so
+    # ==, hash and repr see n and gens only.
+    __slots__ = _fields + ("_packing",)
+
+    def __init__(self, n: int, gens: tuple = ()):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gens", gens)
+        self.__post_init__()
 
     def __post_init__(self):
         gens, packing = _minimalize(self.gens, self.n)
         object.__setattr__(self, "gens", gens)
-        # (top, width, guard, packed gens): kept off the dataclass fields,
-        # so ==, hash and repr see n and gens only.
         object.__setattr__(self, "_packing", packing)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.gens == other.gens
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.gens))
 
     # -- predicates ----------------------------------------------------
 

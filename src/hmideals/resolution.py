@@ -11,31 +11,36 @@ examples.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import HypothesisError
+from .frozen import Frozen
 from .graded import StrataData, min_exponent_upper
 from .monomial import MonIdeal, squarefree_ideal
 from .constructors import nc_ideal
 
 
-@dataclass(frozen=True)
-class Component:
-    label: str
-    e: int  # multiplicity in the pullback of the divisor
-    k: int  # discrepancy
-    exceptional: bool = True
+class Component(Frozen):
+    # e: multiplicity in the pullback of the divisor; k: discrepancy
+    __slots__ = _fields = ("label", "e", "k", "exceptional")
 
-    def __post_init__(self):
-        if self.e < 1 or self.k < 0:
-            raise ValueError(f"invalid component ({self.label}: e={self.e}, k={self.k})")
+    def __init__(self, label: str, e: int, k: int, exceptional: bool = True):
+        if e < 1 or k < 0:
+            raise ValueError(f"invalid component ({label}: e={e}, k={k})")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "exceptional", exceptional)
 
 
-@dataclass(frozen=True)
-class ResolutionData:
-    components: tuple  # of Component
-    lattice: frozenset = field(default=None)  # maximal sets of component indices
+class ResolutionData(Frozen):
+    # a tuple of Component; the maximal sets of component indices that meet
+    __slots__ = _fields = ("components", "lattice")
+
+    def __init__(self, components: tuple, lattice: frozenset = None):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "lattice", lattice)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.components:

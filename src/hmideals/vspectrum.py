@@ -13,22 +13,25 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
 from .errors import CutoffExceededError
+from .frozen import Frozen
 from .monomial import MonIdeal, unit_ideal
 from .rat import fmt_rat, parse_rat
 
 
-@dataclass(frozen=True)
-class VSpectrum:
+class VSpectrum(Frozen):
     """Jump list of the filtration of one germ, valid on (0, cutoff]."""
 
-    n: int
-    cutoff: Fraction
-    jumps: tuple = field(default=())  # ordered (beta, ideal_after) pairs
+    __slots__ = _fields = ("n", "cutoff", "jumps")  # jumps: ordered (beta, ideal_after) pairs
+
+    def __init__(self, n: int, cutoff: Fraction, jumps: tuple = ()):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "jumps", jumps)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.cutoff <= 0:
@@ -148,12 +151,14 @@ class VSpectrum:
         )
 
 
-@dataclass(frozen=True)
-class HMIdeal:
+class HMIdeal(Frozen):
     """A monomial ideal times a power of the defining equation f."""
 
-    f_power: int
-    ideal: MonIdeal
+    __slots__ = _fields = ("f_power", "ideal")
+
+    def __init__(self, f_power: int, ideal: MonIdeal):
+        object.__setattr__(self, "f_power", f_power)
+        object.__setattr__(self, "ideal", ideal)
 
     def to_json(self) -> dict:
         return {"f_power": self.f_power, "ideal": self.ideal.to_json()}

@@ -4,15 +4,20 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hmideals.cli import run
 
-CLI_EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "cli_expected.json"
+ROOT = Path(__file__).resolve().parents[1]
+CLI_EXPECTED = ROOT / "bench" / "cli_expected.json"
 
 
 def invoke(*argv):
@@ -213,6 +218,18 @@ class TestInputErrors:
         assert code == 2 and text == ""
         assert capsys.readouterr().err == "error: need codim >= 1 and m >= 2\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        ("criteria threshold --codim 0 --m 2", "need codim >= 1 and m >= 2"),
+        ("criteria threshold --codim=-3 --m 2", "need codim >= 1 and m >= 2"),
+        ("criteria indep-conditions --n 4 --m 3 --d 0", "need n >= 3, m >= 2 and d >= 1"),
+        ("criteria symbolic-power --codim 3 --m 2 --level=-1 --alpha 0",
+         "level must be >= 0"),
+    ])
+    def test_criteria_out_of_range(self, capsys, argv, message):
+        code, text = invoke(*argv.split())
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("strata", ["2", "2:3,3", "2:x", "2:3:4", "-2:3"])
     def test_malformed_strata(self, tmp_path, capsys, strata):
         p = tmp_path / "res.json"
@@ -271,6 +288,18 @@ class TestInputErrors:
         assert code == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: hmideals spectrum") and captured.err == ""
+
+    def test_version(self):
+        """`hmideals --version` exits 0 and prints the version that
+        pyproject.toml declares."""
+        version = re.search(r'^version = "(.+)"$', (ROOT / "pyproject.toml").read_text(),
+                            re.M).group(1)
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "hmideals.cli", "--version"],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == f"hmideals {version}\n"
 
     @pytest.mark.parametrize("argv", [
         "spectrum --class fermat-cone --params 3",
@@ -347,15 +376,36 @@ def _other_argv(draw):
     return argv + [alpha] if draw(st.booleans()) else argv
 
 
+def _criteria_out_of_range(argv) -> bool:
+    """True for criteria argv with a value outside its command's domain."""
+    if argv[0] != "criteria":
+        return False
+    v = {flag[2:]: int(value) for flag, value in (a.split("=") for a in argv[2:])
+         if flag != "--alpha"}
+    return {
+        "nontriviality": lambda: not v["n"] > v["d"] >= 0 or v["m"] < 2,
+        "symbolic-power": lambda: v["codim"] < 1 or v["m"] < 2 or v["level"] < 0,
+        "threshold": lambda: v["codim"] < 1 or v["m"] < 2,
+        "indep-conditions": lambda: v["n"] < 3 or v["m"] < 2 or v["d"] < 1,
+    }[argv[1]]()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=_other_argv())
+@example(argv=["criteria", "threshold", "--codim=0", "--m=2"])
+@example(argv=["criteria", "threshold", "--codim=-3", "--m=2"])
+@example(argv=["criteria", "indep-conditions", "--n=4", "--m=3", "--d=0"])
+@example(argv=["criteria", "symbolic-power", "--codim=3", "--m=2", "--level=-1", "--alpha=0"])
 def test_argv_fuzz_other_commands(argv):
     """Well-formed argv for the remaining subcommands: exit 0, 2 or 3, never
-    an exception, and one `error:` line on stderr for a nonzero exit."""
+    an exception, and one `error:` line on stderr for a nonzero exit; exit 2
+    for criteria values outside their domain."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = run(argv, out=io.StringIO())
     assert code in (0, 2, 3)
+    if _criteria_out_of_range(argv):
+        assert code == 2
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -18,6 +18,7 @@ from hmideals import (
     symbolic_power_exponent,
 )
 
+from hmideals.graded import hilbert_coeff as kernel_coeff
 from oracles import hilbert_coeff
 
 
@@ -47,6 +48,36 @@ class TestMilnorHilbert:
         h = milnor_hilbert(30, 30)
         assert h.top == 30 * 28
         assert list(h.coeffs) == [hilbert_coeff(30, 30, d) for d in range(h.top + 1)]
+
+
+class TestHilbertCoeff:
+    """graded.hilbert_coeff, which gdim and hodge read, against the whole
+    series (milnor_hilbert) as the second route."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_matches_milnor_hilbert(self, n, m):
+        h = milnor_hilbert(n, m)
+        for d in range(-2, h.top + 3):
+            assert kernel_coeff(n, m, d) == h[d]
+
+    def test_large(self):
+        h = milnor_hilbert(30, 30)
+        assert [kernel_coeff(30, 30, d) for d in range(h.top + 2)] == list(h.coeffs) + [0]
+        # single coefficients of a series of 600 * 598 + 1 terms: its ends,
+        # its first step (n monomials of degree 1) and its symmetry
+        top = 600 * 598
+        assert kernel_coeff(600, 600, 0) == kernel_coeff(600, 600, top) == 1
+        assert kernel_coeff(600, 600, top + 1) == 0
+        assert kernel_coeff(600, 600, 1) == kernel_coeff(600, 600, top - 1) == 600
+        assert kernel_coeff(600, 600, 1000) == kernel_coeff(600, 600, top - 1000)
+        assert hodge_prim_hypersurface(600, 600, 1) == 1
+        assert gdim_ordinary(600, 600, 1, 0) == 1
+
+    @pytest.mark.parametrize("n, m", [(0, 3), (3, 1)])
+    def test_rejects_bad_input(self, n, m):
+        with pytest.raises(ValueError, match="need n >= 1 and m >= 2"):
+            kernel_coeff(n, m, 0)
 
 
 class TestGdimOrdinary:
@@ -115,6 +146,21 @@ class TestCriteria:
     def test_symbolic_power_rejects_bad_stratum(self, codim, m):
         with pytest.raises(ValueError, match="need codim >= 1 and m >= 2"):
             symbolic_power_exponent(codim, m, 0, 0)
+
+    @pytest.mark.parametrize("level", [-1, -3])
+    def test_symbolic_power_rejects_negative_level(self, level):
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            symbolic_power_exponent(3, 2, level, 0)
+
+    @pytest.mark.parametrize("r, m", [(0, 2), (-3, 2), (2, 1)])
+    def test_containment_threshold_rejects_bad_stratum(self, r, m):
+        with pytest.raises(ValueError, match="need codim >= 1 and m >= 2"):
+            containment_threshold(r, m)
+
+    @pytest.mark.parametrize("n, m, d", [(4, 3, 0), (4, 3, -2), (2, 3, 5), (4, 1, 5)])
+    def test_independent_conditions_rejects_bad_input(self, n, m, d):
+        with pytest.raises(ValueError, match="need n >= 3, m >= 2 and d >= 1"):
+            independent_conditions_degree(n, m, d)
 
     def test_containment_threshold(self):
         assert containment_threshold(2, 2) == 1
