@@ -1,12 +1,14 @@
 """Command-line front end: tables on stdout, JSON with --json.
 
 Exit codes: 0 success, 2 malformed input, 3 cutoff exceeded.
+
+Each command imports the library modules it uses when it runs, so a call
+loads only what its command needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -14,36 +16,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import CutoffExceededError, HypothesisError
-from .graded import (
-    StrataData,
-    containment_threshold,
-    gdim_ordinary,
-    hodge_cyclic_eigenspace,
-    hodge_prim_hypersurface,
-    independent_conditions_degree,
-    nontriviality_data,
-    symbolic_power_exponent,
-)
 from .rat import fmt_rat, parse_rat
-from .resolution import (
-    ResolutionData,
-    builtin_family,
-    lct,
-    max_weight_level,
-    min_exponent_bounds,
-    minimal_lc_center,
-)
-from .constructors import (
-    spectrum_diagonal,
-    spectrum_one_var,
-    spectrum_ordinary_fermat,
-    spectrum_thom_sebastiani,
-)
-
-
-def _parse_params(text: str):
-    return [int(p) for p in text.split(",") if p.strip()]
-
 
 # Each class is a sum of powers: its --params form, least and most count.
 _CLASS_PARAMS = {
@@ -74,6 +47,13 @@ def build_spectrum(klass: str, params, cutoff=None):
 
     Default cutoff is the first jump plus 3.
     """
+    from .constructors import (
+        spectrum_diagonal,
+        spectrum_one_var,
+        spectrum_ordinary_fermat,
+        spectrum_thom_sebastiani,
+    )
+
     m_vec = _exponents(klass, params)
     if cutoff is None:
         cutoff = _first_jump_estimate(m_vec) + 3
@@ -93,8 +73,10 @@ def _ideal_str(ideal) -> str:
     return str(ideal)[1:-1]
 
 
-def _write_json(data, out):
-    json.dump(data, out, indent=2)
+def _write_json(data, out, indent=2):
+    import json
+
+    json.dump(data, out, indent=indent)
     out.write("\n")
 
 
@@ -108,7 +90,7 @@ def _write_record(rec: dict, as_json: bool, out):
 
 
 def cmd_spectrum(args, out):
-    spect = build_spectrum(args.klass, _parse_params(args.params), args.cutoff)
+    spect = build_spectrum(args.klass, args.params, args.cutoff)
     if args.json:
         _write_json(spect.to_json(), out)
         return 0
@@ -122,15 +104,13 @@ def cmd_spectrum(args, out):
 def cmd_ideal(args, out):
     if args.k < 0:
         raise ValueError("k must be >= 0")
-    params = _parse_params(args.params)
-    m_vec = _exponents(args.klass, params)
-    alpha = parse_rat(args.alpha)
+    m_vec = _exponents(args.klass, args.params)
     cutoff = args.cutoff
     if cutoff is None:
         cutoff = _first_jump_estimate(m_vec) + 3 + args.k
-    spect = build_spectrum(args.klass, params, cutoff)
+    spect = build_spectrum(args.klass, args.params, cutoff)
     f_exps = m_vec if args.klass == "power" else None
-    twisted = spect.hmi_twisted(args.k, alpha, f_exps)
+    twisted = spect.hmi_twisted(args.k, args.alpha, f_exps)
     if args.json:
         _write_json(twisted.to_json(), out)
         return 0
@@ -140,12 +120,16 @@ def cmd_ideal(args, out):
 
 
 def cmd_gdim(args, out):
-    value = gdim_ordinary(args.n, args.m, args.k, parse_rat(args.alpha))
+    from .graded import gdim_ordinary
+
+    value = gdim_ordinary(args.n, args.m, args.k, args.alpha)
     out.write(f"{value}\n")
     return 0
 
 
 def cmd_hodge(args, out):
+    from .graded import hodge_cyclic_eigenspace, hodge_prim_hypersurface
+
     n = args.ambient_dim + 1  # variable count of the cone
     if args.eigen is not None:
         match = re.fullmatch(r"(\d+)/(\d+)", args.eigen)
@@ -159,13 +143,18 @@ def cmd_hodge(args, out):
 
 
 def cmd_criteria(args, out):
+    from .graded import (
+        containment_threshold,
+        independent_conditions_degree,
+        nontriviality_data,
+        symbolic_power_exponent,
+    )
+
     if args.which == "nontriviality":
         rec = nontriviality_data(args.n, args.d, args.m)
         rec = {"k": rec["k"], "r": rec["r"], "alpha": fmt_rat(rec["alpha"])}
     elif args.which == "symbolic-power":
-        rec = {
-            "p": symbolic_power_exponent(args.codim, args.m, args.level, parse_rat(args.alpha))
-        }
+        rec = {"p": symbolic_power_exponent(args.codim, args.m, args.level, args.alpha)}
     elif args.which == "threshold":
         rec = {"threshold": fmt_rat(containment_threshold(args.codim, args.m))}
     else:  # indep-conditions
@@ -179,6 +168,9 @@ _STRATUM_RE = re.compile(r"\s*\d+\s*:\s*\d+\s*")
 
 
 def _load_resolution(args):
+    from .graded import StrataData
+    from .resolution import ResolutionData, builtin_family
+
     if args.builtin:
         if args.strata is not None:
             raise ValueError("--strata goes with --file; a builtin has its own strata")
@@ -199,6 +191,8 @@ def _load_resolution(args):
 
 
 def cmd_resolution(args, out):
+    from .resolution import lct, max_weight_level, min_exponent_bounds, minimal_lc_center
+
     res, strata, expected = _load_resolution(args)
     if args.action == "lct":
         rec = {"lct": fmt_rat(lct(res))}
@@ -212,7 +206,7 @@ def cmd_resolution(args, out):
     elif args.action == "weight-level":
         if args.alpha is None:
             raise ValueError("weight-level needs --alpha")
-        rec = {"level": max_weight_level(res, parse_rat(args.alpha))}
+        rec = {"level": max_weight_level(res, args.alpha)}
     else:  # lc-center
         centers = minimal_lc_center(res)
         rec = {
@@ -225,11 +219,10 @@ def cmd_resolution(args, out):
 
 
 def cmd_bs_classes(args, out):
-    spect = build_spectrum(args.klass, _parse_params(args.params), args.cutoff)
+    spect = build_spectrum(args.klass, args.params, args.cutoff)
     classes = sorted(spect.bs_root_classes())
     if args.json:
-        json.dump([fmt_rat(c) for c in classes], out)
-        out.write("\n")
+        _write_json([fmt_rat(c) for c in classes], out, indent=None)
     else:
         out.write(", ".join(fmt_rat(c) for c in classes) + "\n")
     return 0
@@ -240,6 +233,13 @@ def _rat_arg(text):
         return parse_rat(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _params_arg(text):
+    try:
+        return [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"want comma-separated integers, got {text!r}")
 
 
 class _UsageError(Exception):
@@ -279,7 +279,7 @@ def make_parser() -> argparse.ArgumentParser:
     def spectrum_flags(p):
         p.add_argument("--class", dest="klass", required=True,
                        choices=list(_CLASS_PARAMS))
-        p.add_argument("--params", required=True,
+        p.add_argument("--params", type=_params_arg, required=True,
                        help="comma-separated integers, e.g. 2,3")
         p.add_argument("--cutoff", type=_rat_arg, default=None,
                        help='rational "p/q"; default: first jump + 3')
@@ -292,14 +292,14 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ideal", help="one two-index ideal, with f-power twist")
     spectrum_flags(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", required=True, help='rational "p/q", e.g. -1/2')
+    p.add_argument("--alpha", type=_rat_arg, required=True, help='rational "p/q", e.g. -1/2')
     p.set_defaults(func=cmd_ideal)
 
     p = sub.add_parser("gdim", help="graded-piece dimension at an ordinary point")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--alpha", type=_rat_arg, required=True)
     p.set_defaults(func=cmd_gdim)
 
     p = sub.add_parser("hodge", help="primitive Hodge numbers via the residue grading")
@@ -320,7 +320,7 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--codim", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--level", type=int, required=True)
-    q.add_argument("--alpha", required=True)
+    q.add_argument("--alpha", type=_rat_arg, required=True)
     q = which.add_parser("threshold")
     q.add_argument("--codim", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
@@ -337,7 +337,7 @@ def make_parser() -> argparse.ArgumentParser:
     src.add_argument("--file", help="JSON resolution data")
     src.add_argument("--builtin", help="family name, e.g. hyperelliptic_theta(5)")
     p.add_argument("action", choices=["lct", "bounds", "weight-level", "lc-center"])
-    p.add_argument("--alpha", default=None, help="index for weight-level")
+    p.add_argument("--alpha", type=_rat_arg, default=None, help="index for weight-level")
     p.add_argument("--strata", default=None, help='m:codim pairs, e.g. "2:3,3:5"')
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_resolution)

@@ -16,8 +16,6 @@ from fractions import Fraction
 from .errors import HypothesisError
 from .frozen import Frozen
 from .graded import StrataData, min_exponent_upper
-from .monomial import MonIdeal, squarefree_ideal
-from .constructors import nc_ideal
 
 
 class Component(Frozen):
@@ -174,6 +172,11 @@ def weighted_nc_local(m_vec, alpha, ell: int) -> MonIdeal:
     squarefree monomials of degree s - ell - 1 in those variables (unit when
     the intersections are empty, the full product when ell = -1).
     """
+    # imported here, the one user, so that resolution commands do not load
+    # the spectrum modules
+    from .constructors import nc_ideal
+    from .monomial import squarefree_ideal
+
     m_vec = tuple(int(m) for m in m_vec)
     alpha = Fraction(alpha)
     if not -1 <= alpha < 0:

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hmideals.cli import run
+from test_traced_names import bench_literal
 
 ROOT = Path(__file__).resolve().parents[1]
-CLI_EXPECTED = ROOT / "bench" / "cli_expected.json"
+RECORDED = json.loads((ROOT / "bench" / "cli_expected.json").read_text())
+CHAIN = bench_literal("workloads.py", "CLI_FILES")["chain.json"]  # the --file row's input
 
 
 def invoke(*argv):
@@ -46,19 +48,29 @@ class TestSpectrum:
         assert data["cutoff"] == "13/6"
         assert [j["beta"] for j in data["jumps"]] == ["5/6", "7/6", "11/6", "13/6"]
 
-    def test_fermat_cone_matches_recorded_output(self):
-        """The cone's table is byte-identical to the digest the benchmark's
-        cli-session workload checks."""
-        argv = "spectrum --class fermat-cone --params 3,3"
-        recorded = json.loads(CLI_EXPECTED.read_text())[argv]
-        code, text = invoke(*argv.split())
-        assert code == recorded["exit"] == 0
-        assert hashlib.sha256(text.encode()).hexdigest() == recorded["stdout_sha256"]
-
     def test_default_cutoff(self):
         code, text = invoke("spectrum", "--class", "power", "--params", "2")
         assert code == 0
         assert "1/2" in text
+
+
+class TestRecorded:
+    @pytest.mark.parametrize("line", sorted(RECORDED))
+    def test_matches_recorded_output(self, tmp_path, monkeypatch, capsys, line):
+        """Every command the benchmark's cli-session workload runs exits as
+        recorded: on exit 0 its stdout is byte-identical to the recorded
+        digest, otherwise stdout is empty and stderr is one error line."""
+        recorded = RECORDED[line]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / ".bench_build" / "cli").mkdir(parents=True)
+        (tmp_path / ".bench_build" / "cli" / "chain.json").write_text(json.dumps(CHAIN))
+        code, text = invoke(*line.split())
+        err = capsys.readouterr().err
+        assert code == recorded["exit"]
+        if code == 0:
+            assert hashlib.sha256(text.encode()).hexdigest() == recorded["stdout_sha256"]
+        else:
+            assert text == "" and err.count("\n") == 1 and err.startswith("error: ")
 
 
 class TestIdeal:

@@ -1,0 +1,106 @@
+"""What the package exports and what each CLI command loads.
+
+The package resolves its exported names on first access, and each CLI
+command imports only the library modules it uses.  The module sets are read
+from `python -X importtime` children, which list every module a process
+imports; they are deterministic, so a top-level import that would make every
+command load the whole library fails here.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hmideals
+
+ROOT = Path(__file__).resolve().parents[1]
+SPECTRUM_MODULES = {"hmideals.monomial", "hmideals.vspectrum", "hmideals.constructors"}
+COMPUTATION_MODULES = SPECTRUM_MODULES | {"hmideals.graded", "hmideals.resolution"}
+
+
+def loaded_modules(*args):
+    """The hmideals modules a `python -X importtime *args` child imports."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return proc.returncode, {n for n in names if n.split(".")[0] == "hmideals"}
+
+
+def cli_modules(argv):
+    """(exit code, library modules) of one `python -m hmideals.cli` child;
+    the package and cli itself, which runs as __main__, are left out."""
+    code, names = loaded_modules("-m", "hmideals.cli", *argv.split())
+    return code, names - {"hmideals", "hmideals.cli"}
+
+
+def test_bare_import_loads_no_submodule():
+    code, names = loaded_modules("-c", "import hmideals")
+    assert code == 0 and names == {"hmideals"}
+
+
+@pytest.mark.parametrize("argv", [
+    "gdim --n 3 --m 3 --k 1 --alpha 0",
+    "hodge --ambient-dim 4 --degree 5 --level 2 --eigen 2/5",
+    "criteria nontriviality --n 5 --d 1 --m 2",
+    "criteria symbolic-power --codim 3 --m 2 --level 2 --alpha=-1/2 --json",
+])
+def test_graded_commands(argv):
+    assert cli_modules(argv) == (
+        0, {"hmideals.errors", "hmideals.rat", "hmideals.frozen", "hmideals.graded"})
+
+
+@pytest.mark.parametrize("argv", [
+    "resolution --builtin hyperelliptic_theta(5) bounds --json",
+    "resolution --builtin determinantal(3) lct",
+])
+def test_builtin_resolution_skips_spectrum_modules(argv):
+    code, names = cli_modules(argv)
+    assert code == 0 and "hmideals.resolution" in names
+    assert not names & SPECTRUM_MODULES
+
+
+@pytest.mark.parametrize("argv", [
+    "spectrum --class diagonal --params 2,x",
+    "ideal --class diagonal --params 2,3 --k 1 --alpha 1/0",
+    "criteria symbolic-power --codim 3 --m 2 --level 2 --alpha x",
+    "resolution --builtin secant(3) weight-level --alpha x",
+    "gdim --n 3 --m 3",
+])
+def test_rejected_argv_loads_no_computation_module(argv):
+    code, names = cli_modules(argv)
+    assert code == 2 and not names & COMPUTATION_MODULES
+
+
+def test_submodule_resolves_after_bare_import():
+    """The package's lazy imports are listed too, so a top-level `from .
+    import resolution` in cli would show in the module sets above."""
+    code, names = loaded_modules(
+        "-c", "import hmideals; assert hmideals.graded.gdim_ordinary(3, 3, 1, 0) == 1")
+    assert code == 0 and names == {"hmideals", "hmideals.frozen", "hmideals.graded"}
+
+
+def test_exports_are_their_home_objects():
+    for module, exported in hmideals._EXPORTS.items():
+        home = importlib.import_module(f"hmideals.{module}")
+        for name in exported:
+            assert getattr(hmideals, name) is getattr(home, name), name
+
+
+def test_star_import_and_dir():
+    namespace = {}
+    exec("from hmideals import *", namespace)
+    assert set(hmideals.__all__) <= namespace.keys()
+    assert all(namespace[name] is getattr(hmideals, name) for name in hmideals.__all__)
+    assert set(hmideals.__all__) <= set(dir(hmideals))
+
+
+def test_unknown_name_raises():
+    with pytest.raises(AttributeError, match="nosuch"):
+        hmideals.nosuch

@@ -11,16 +11,19 @@ import functools
 import importlib
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def layer_spans():
-    for node in ast.parse(TRACING.read_text()).body:
+def bench_literal(filename, name):
+    """The literal assigned to `name` in a bench/ source, read without
+    importing the benchmark."""
+    path = BENCH / filename
+    for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "LAYER_SPANS" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no LAYER_SPANS assignment in {TRACING}")
+    raise AssertionError(f"no {name} assignment in {path}")
 
 
 def resolves(module, qualname):
@@ -33,6 +36,6 @@ def resolves(module, qualname):
 
 
 def test_traced_names_resolve():
-    spans = layer_spans()
+    spans = bench_literal("tracing.py", "LAYER_SPANS")
     assert spans
     assert [key for key in spans if not resolves(*key)] == []
