@@ -39,12 +39,13 @@ def spectrum_diagonal(m_vec, cutoff) -> VSpectrum:
         raise ValueError("cutoff must be positive")
     n = len(m_vec)
     scale = math.lcm(*m_vec)
-    top = cutoff * scale
+    p, q = cutoff.numerator, cutoff.denominator
+    top = p * scale // q  # weights are ints, so compare with floor(cutoff * scale)
     # Scaled weights of each coordinate at mu = 0, 1, ...: strictly
     # increasing, >= scale * (mu + 1) / m, so they end past top.
     tables = [
         [scale * (mu + 1) if m == 1 else scale // m * (mu + 1 + mu // (m - 1))
-         for mu in range(int(cutoff * m) + 1)]
+         for mu in range(p * m // q + 1)]
         for m in m_vec
     ]
     # The last level is the first achieved weight past the cutoff: it
@@ -141,6 +142,11 @@ def spectrum_thom_sebastiani(v1: VSpectrum, v2: VSpectrum, cutoff) -> VSpectrum:
     of the box products of the factor values.  Each factor is constant on
     pieces (lo, hi], so a pair of pieces contributes its product exactly when
     some split lands in both: lo_1 + lo_2 < beta <= hi_1 + hi_2.
+
+    For a piece of f the qualifying pieces of g are consecutive and g's
+    values descend, so only the first counts: the first piece of g with
+    hi_2 >= beta - hi_1, found by bisection, if lo_1 + lo_2 < beta.  Pieces
+    of f with lo_1 >= beta have no partner.
     """
     cutoff = Fraction(cutoff)
     if cutoff > v1.cutoff or cutoff > v2.cutoff:
@@ -152,20 +158,23 @@ def spectrum_thom_sebastiani(v1: VSpectrum, v2: VSpectrum, cutoff) -> VSpectrum:
     # 1/scale, so bounds, candidates and the probe compare as ints.
     scale = math.lcm(*(end.denominator for v in (v1, v2)
                        for end in (*v.jumping_numbers(), v.cutoff)))
-    pieces2 = _pieces(v2, scale)
-    pairs = [(lo1 + lo2, hi1 + hi2, a, b)
-             for lo1, hi1, a in _pieces(v1, scale) for lo2, hi2, b in pieces2]
+    pieces1, pieces2 = _pieces(v1, scale), _pieces(v2, scale)
+    ends2 = [hi for _, hi, _ in pieces2]
 
     def value(beta: int) -> MonIdeal:  # beta in units of 1/scale
-        return MonIdeal(n, tuple(
-            g + h
-            for lo, hi, a, b in pairs if lo < beta <= hi
-            for g in a.gens for h in b.gens
-        ))
+        gens = []
+        for lo1, hi1, a in pieces1:
+            if lo1 >= beta:
+                break
+            # beta never passes g's cutoff, the last end, so the index exists.
+            lo2, _, b = pieces2[bisect.bisect_left(ends2, beta - hi1)]
+            if lo1 + lo2 < beta:
+                gens += [g + h for g in a.gens for h in b.gens]
+        return MonIdeal(n, tuple(gens))
 
     # Candidate jumps: the sums of factor jumps (including 0), which are the
-    # pairs' starts.
-    sums = sorted({lo for lo, _, _, _ in pairs} - {0})
+    # pieces' starts.
+    sums = sorted({lo1 + lo2 for lo1, _, _ in pieces1 for lo2, _, _ in pieces2} - {0})
     last = math.floor(cutoff * scale)
     points = [s for s in sums if s <= last]
     # One evaluation past the cutoff certifies a terminal jump, but only

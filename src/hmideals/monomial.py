@@ -4,7 +4,8 @@ An exponent vector is a tuple of naturals; componentwise order is
 divisibility of monomials.  A MonIdeal stores the minimal antichain of
 generators in lexicographic order, so equal ideals compare equal.  The
 unit ideal is generated by the zero vector; the zero ideal has no
-generators.
+generators.  Minimalization is one pass in lex order: a staircase sweep
+for n <= 3, the packed test below for n >= 4.
 
 Each ideal also packs its generators once, at construction: a vector
 becomes one int of n fields, the first coordinate in the highest field.
@@ -217,28 +218,48 @@ def _shifts(n: int, width: int) -> range:
 
 def _minimalize(gens, n: int):
     """Minimal antichain generating the same ideal, sorted lexicographically,
-    and its packing (top, width, guard, packed generators)."""
+    and its packing (top, width, guard, packed generators).
+
+    In lex order a vector is divisible only by earlier ones or itself, so
+    each is tested against those kept before it.  For n <= 3 (n = 1, 2
+    padded with leading zeros) these are no larger in the first coordinate,
+    and the test bisects the staircase of the kept points' last two
+    coordinates (b, c): b ascending, c descending, the first point with
+    c' <= c the one with the least b'.  For n >= 4 the packed test is tried
+    against the kept vectors, nearest first.  Only kept vectors are packed.
+    """
     vecs = sorted(set(map(tuple, gens)))
     _check_len(vecs, n)
-    if min(itertools.chain.from_iterable(vecs), default=0) < 0:
+    if min(itertools.chain((0,), *vecs)) < 0:
         raise ValueError("exponents must be >= 0")
-    top = max(itertools.chain.from_iterable(vecs), default=0)
+    top = max(itertools.chain((0,), *vecs))
     width = top.bit_length() + 1
     # One guard bit at the top of each of the n fields.
     guard = ((1 << n * width) - 1) // ((1 << width) - 1) << (width - 1)
-    shifts = _shifts(n, width)
     keep, packed = [], []
+    if n > 3:
+        shifts = _shifts(n, width)
+        for g in vecs:
+            p = sum(map(lshift, g, shifts))
+            q = p | guard
+            for h in reversed(packed):  # the lex-nearest divide most often
+                if (q - h) & guard == guard:  # h divides g
+                    break
+            else:
+                keep.append(g)
+                packed.append(p)
+        return tuple(keep), (top, width, guard, packed)
+    bs, cs, pad = [], [], (0,) * (3 - n)  # the staircase: bs and cs = -c ascending
     for g in vecs:
-        p = sum(map(lshift, g, shifts))
-        q = p | guard
-        for h in reversed(packed):  # the lex-nearest divide most often
-            if (q - h) & guard == guard:  # h divides g
-                break
-        else:
-            keep.append(g)
-            packed.append(p)
-    # A later generator never divides an earlier one in lex order unless
-    # equal, so one pass suffices.
+        a, b, c = pad + g
+        j = bisect.bisect_left(cs, -c)  # the first point with c' <= c
+        if j < len(bs) and bs[j] <= b:  # it divides g
+            continue
+        # g's point replaces those it dominates: c' > c (before j), b' >= b.
+        i = bisect.bisect_left(bs, b, 0, j)
+        bs[i:j], cs[i:j] = (b,), (-c,)
+        keep.append(g)
+        packed.append(a << 2 * width | b << width | c)  # padding packs to 0
     return tuple(keep), (top, width, guard, packed)
 
 

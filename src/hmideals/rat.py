@@ -13,15 +13,16 @@ from fractions import Fraction
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse "p/q" or "p" (q > 0 enforced by Fraction normalization)."""
+    """Parse "p/q" with q > 0, or an integer "p"."""
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        d = int(den)
-        if d <= 0:
-            raise ValueError(f"denominator must be positive in {text!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(text))
+    num, slash, den = text.partition("/")
+    try:
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"want p/q or an integer, got {text!r}") from None
+    if q <= 0:
+        raise ValueError(f"denominator must be positive in {text!r}")
+    return Fraction(p, q)
 
 
 def fmt_rat(x: Fraction) -> str:

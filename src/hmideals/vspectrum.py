@@ -181,10 +181,7 @@ def spectrum_from_step(n: int, cutoff: Fraction, points, values) -> VSpectrum:
     """
     if values and values[0] != unit_ideal(n):
         raise ValueError("filtration must start at the unit ideal")
-    jumps = []
-    for i in range(len(points) - 1):
-        if points[i] > cutoff:
-            break
-        if values[i + 1] != values[i]:
-            jumps.append((points[i], values[i + 1]))
-    return VSpectrum(n, cutoff, tuple(jumps))
+    end = min(bisect.bisect_right(points, cutoff), len(points) - 1)
+    return VSpectrum(n, cutoff, tuple([
+        (points[i], values[i + 1]) for i in range(end) if values[i + 1] != values[i]
+    ]))

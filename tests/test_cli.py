@@ -263,6 +263,14 @@ class TestInputErrors:
         assert code == 2 and text == ""
         assert capsys.readouterr().err == "error: k must be >= 0\n"
 
+    @pytest.mark.parametrize("alpha", ["x", "1/x", "1/", "1/2/3"])
+    def test_non_numeric_alpha_names_the_form(self, capsys, alpha):
+        code, text = invoke("criteria", "symbolic-power", "--codim", "3", "--m", "2",
+                            "--level", "2", "--alpha", alpha)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            f"error: argument --alpha: want p/q or an integer, got {alpha!r}\n")
+
     def test_gdim_negative_level(self, capsys):
         code, text = invoke("gdim", "--n", "3", "--m", "3", "--k", "-1", "--alpha", "0")
         assert code == 2 and text == ""

@@ -3,6 +3,7 @@ cones over Fermat hypersurfaces, sums of functions in disjoint variables,
 normal crossing divisors and Q-divisors."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -134,6 +135,24 @@ class TestDiagonalOracle:
     def test_random_small(self, m_vec, cutoff):
         assert spectrum_diagonal(m_vec, cutoff) == box_spectrum_diagonal(m_vec, cutoff)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(0, 40),
+           st.sampled_from(["on-jump", "below-jump", "off-lattice"]))
+    def test_integer_cutoff(self, m_vec, i, kind):
+        """The kernel compares integer weights with floor(cutoff * lcm(m_j));
+        the oracle compares Fraction weights with the cutoff.  Cutoffs on a
+        jump (cutoff * lcm an integer), just below one and between two
+        multiples of 1/lcm."""
+        scale = math.lcm(*m_vec)
+        jumps = box_spectrum_diagonal(m_vec, _first_jump(m_vec) + 1).jumping_numbers()
+        beta = jumps[i % len(jumps)]
+        cutoff = {"on-jump": beta, "below-jump": beta - F(1, 7 * scale),
+                  "off-lattice": beta + F(1, 2 * scale)}[kind]
+        assert ((cutoff * scale).denominator == 1) == (kind == "on-jump")
+        spect = spectrum_diagonal(m_vec, cutoff)
+        assert spect == box_spectrum_diagonal(m_vec, cutoff)
+        assert (beta in spect.jumping_numbers()) == (kind != "below-jump")
+
 
 # Cutoffs relative to the cone's first jump n/m; n/m + 1 is a later jump.
 _FERMAT_CUTOFFS = {
@@ -225,6 +244,22 @@ def _chain(ts, m_vec, cutoff):
     return ts(spect, factors[-1], cutoff)
 
 
+@st.composite
+def _ts_factors(draw):
+    """(v1, v2, cutoff): a two-variable diagonal spectrum (many pieces) and a
+    power (few), in either order, with unequal cutoffs; the TS cutoff is the
+    smaller one or a drawn value below it."""
+    many = (draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+    few = draw(st.integers(1, 4))
+    c_many = draw(st.fractions(F(1, 2), 3, max_denominator=6))
+    c_few = draw(st.fractions(F(1, 2), 3, max_denominator=6).filter(lambda c: c != c_many))
+    factors = [spectrum_diagonal(many, c_many), spectrum_one_var(few, c_few)]
+    v1, v2 = draw(st.permutations(factors))
+    low = min(c_many, c_few)
+    cutoff = draw(st.just(low) | st.fractions(F(1, 12), low, max_denominator=12))
+    return v1, v2, cutoff
+
+
 class TestThomSebastianiOracle:
     """The interval-pair rule against the split-point sampling it replaced."""
 
@@ -251,6 +286,17 @@ class TestThomSebastianiOracle:
     ], ids=["fermat-power", "diagonal-power", "diagonal-diagonal", "factor-cutoff-probe"])
     def test_mixed(self, f1, args1, f2, args2, cutoff):
         v1, v2 = f1(*args1), f2(*args2)
+        assert (spectrum_thom_sebastiani(v1, v2, cutoff)
+                == split_thom_sebastiani(v1, v2, cutoff))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ts_factors())
+    def test_many_pieces_either_side(self, drawn):
+        """A factor with many pieces before or after one with few, at unequal
+        factor cutoffs: a piece of the first factor takes its partner by
+        bisection, the pieces past beta are skipped, and at the smaller
+        factor cutoff the probe is that cutoff."""
+        v1, v2, cutoff = drawn
         assert (spectrum_thom_sebastiani(v1, v2, cutoff)
                 == split_thom_sebastiani(v1, v2, cutoff))
 

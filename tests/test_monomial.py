@@ -1,9 +1,12 @@
 import json
 import math
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hmideals.constructors import spectrum_diagonal
+from hmideals.errors import DimensionError
 from hmideals.monomial import (
     INFINITE,
     MonIdeal,
@@ -275,3 +278,61 @@ class TestPackedKernel:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             I(2, (1, -1))
+
+
+# Cutoffs that keep one spectrum build to a few ms: the last level then
+# holds up to about 80 generators for n = 2 and 190 for n = 3.
+_SWEEP_CUTOFFS = {1: 12, 2: 16, 3: 4}
+
+
+@st.composite
+def _staircase_mixes(draw):
+    """(n, gens) for n <= 3: a staircase level of a random diagonal spectrum
+    (a large antichain), shuffled together with duplicates and multiples of
+    its generators and a few vectors drawn in its bounding box."""
+    n = draw(st.integers(1, 3))
+    # Drawn down from the largest values, which Hypothesis tries first.
+    m_vec = draw(st.tuples(*[st.integers(0, 3).map(lambda d: 6 - d)] * n))
+    top = _SWEEP_CUTOFFS[n]
+    cutoff = top - draw(st.fractions(0, F(top, 2), max_denominator=6))
+    levels = [ideal.gens for _, ideal in spectrum_diagonal(m_vec, cutoff).jumps]
+    base = list(draw(st.sampled_from(levels[-3:]))) if levels else [(0,) * n]
+    shifts = st.tuples(*[st.integers(0, 1) | st.integers(0, 9)] * n)
+    extra = draw(st.lists(st.tuples(st.sampled_from(base), shifts), max_size=40))
+    gens = base + [tuple(map(sum, zip(g, s))) for g, s in extra]
+    box = st.tuples(*[st.integers(0, max(map(max, base)))] * n)
+    gens += draw(st.lists(box, max_size=8))
+    return n, draw(st.permutations(gens))
+
+
+class TestStaircaseSweep:
+    """The sweep that minimalizes for n <= 3 against the pairwise route."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_staircase_mixes())
+    def test_large_antichains(self, drawn):
+        n, gens = drawn
+        ideal = MonIdeal(n, tuple(gens))
+        assert ideal.gens == pairwise_minimalize(gens)
+        # The packing: fields sized by the largest exponent given, redundant
+        # generators included, and only the kept generators packed.
+        top = max((x for g in gens for x in g), default=0)
+        width = top.bit_length() + 1
+        shifts = [(n - 1 - i) * width for i in range(n)]
+        packed = [sum(x << s for x, s in zip(g, shifts)) for g in ideal.gens]
+        guard = sum(1 << (s + width - 1) for s in shifts)
+        assert ideal._packing == (top, width, guard, packed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_staircase_mixes(), st.data())
+    def test_bad_vectors_rejected(self, drawn, data):
+        n, gens = drawn
+        i = data.draw(st.integers(0, len(gens) - 1))
+        at = data.draw(st.integers(0, n - 1))
+        wrong = gens[i] + (0,) if data.draw(st.booleans()) else gens[i][:-1]
+        with pytest.raises(DimensionError):
+            MonIdeal(n, tuple(gens[:i] + [wrong] + gens[i + 1:]))
+        negative = gens[i][:at] + (-1 - gens[i][at],) + gens[i][at + 1:]
+        with pytest.raises(ValueError) as excinfo:
+            MonIdeal(n, tuple(gens[:i] + [negative] + gens[i + 1:]))
+        assert excinfo.type is ValueError
