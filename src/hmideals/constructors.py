@@ -173,15 +173,20 @@ def spectrum_thom_sebastiani(v1: VSpectrum, v2: VSpectrum, cutoff) -> VSpectrum:
         return MonIdeal(n, tuple(gens))
 
     # Candidate jumps: the sums of factor jumps (including 0), which are the
-    # pieces' starts.
-    sums = sorted({lo1 + lo2 for lo1, _, _ in pieces1 for lo2, _, _ in pieces2} - {0})
+    # pieces' starts, up to the cutoff, and the first one past it, which
+    # certifies a terminal jump within the range both factors guarantee.
     last = math.floor(cutoff * scale)
-    points = [s for s in sums if s <= last]
-    # One evaluation past the cutoff certifies a terminal jump, but only
-    # within the range both factors guarantee.
-    after = [s for s in sums if s > last]
-    if after:
-        probe = min(after[0], int(v1.cutoff * scale), int(v2.cutoff * scale))
+    starts2 = [lo for lo, _, _ in pieces2] + [math.inf]
+    points, past = set(), math.inf
+    for lo1, _, _ in pieces1:
+        k = bisect.bisect_right(starts2, last - lo1)
+        points.update(lo1 + lo2 for lo2 in starts2[:k])
+        past = min(past, lo1 + starts2[k])
+        if not k:  # lo1 is past the cutoff, and so are the later starts
+            break
+    points = sorted(points - {0})
+    if past < math.inf:
+        probe = min(past, int(v1.cutoff * scale), int(v2.cutoff * scale))
         if probe > (points[-1] if points else 0):
             points.append(probe)
     values = [value(p) for p in points]

@@ -4,24 +4,17 @@ An exponent vector is a tuple of naturals; componentwise order is
 divisibility of monomials.  A MonIdeal stores the minimal antichain of
 generators in lexicographic order, so equal ideals compare equal.  The
 unit ideal is generated by the zero vector; the zero ideal has no
-generators.  Minimalization is one pass in lex order: a staircase sweep
-for n <= 3, the packed test below for n >= 4.
-
-Each ideal also packs its generators once, at construction: a vector
-becomes one int of n fields, the first coordinate in the highest field.
-A field is w = top.bit_length() + 1 bits wide for the largest exponent
-top, so its top bit (the guard) is clear in every packed vector.  With G
-the guard bits of all fields, h divides g iff
-((pack(g) | G) - pack(h)) & G == G: each field computes
-2^(w-1) + g_i - h_i, which keeps its guard bit iff h_i <= g_i and never
-borrows from the next field.  Packed order is lexicographic order.
+generators.  Minimalization and containment share one lex-order sweep
+for the minima of a point set (Kung, Luccio and Preparata, JACM 1975).
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
-from operator import add, lshift
+from bisect import bisect_right
+from collections import defaultdict
+from functools import partial
+from operator import add, itemgetter, le
 
 from .errors import DimensionError
 from .frozen import Frozen
@@ -61,9 +54,7 @@ class MonIdeal(Frozen):
     """A monomial ideal in n variables, stored in canonical minimal form."""
 
     _fields = ("n", "gens")
-    # _packing is (top, width, guard, packed gens): a slot, not a field, so
-    # ==, hash and repr see n and gens only.
-    __slots__ = _fields + ("_packing",)
+    __slots__ = _fields
 
     def __init__(self, n: int, gens: tuple = ()):
         object.__setattr__(self, "n", n)
@@ -71,9 +62,7 @@ class MonIdeal(Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        gens, packing = _minimalize(self.gens, self.n)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "_packing", packing)
+        object.__setattr__(self, "gens", _minimalize(self.gens, self.n))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -101,29 +90,18 @@ class MonIdeal(Frozen):
         """True iff self is contained in other (every generator of self is
         divisible by one of other).
 
-        A tested vector is clamped to other's largest exponent, which keeps
-        divisibility by other's generators and fits other's fields; with
-        equal field widths self's own packing already fits.
-        """
+        A divisor precedes a vector in lex order; the lex-nearest generator
+        of other divides most often (for n <= 2 it is the only candidate).
+        The vectors it misses lie in other iff a sweep that keeps other's
+        possible divisors untested keeps none of them."""
         self._same_n(other)
-        top, width, guard, theirs = other._packing
-        if self._packing[1] == width:
-            mine = self._packing[3]
-        else:
-            shifts = _shifts(self.n, width)
-            mine = [sum(map(lshift, map(min, g, itertools.repeat(top)), shifts))
-                    for g in self.gens]
-        for p in mine:
-            # A divisor precedes p in packed (lex) order; the nearest divide
-            # most often, so scan back from p.
-            end = bisect.bisect_right(theirs, p)
-            p |= guard
-            for q in reversed(theirs[:end]):
-                if (p - q) & guard == guard:
-                    break
-            else:
-                return False
-        return True
+        theirs = other.gens
+        missed = [g for g in self.gens
+                  if not (i := bisect_right(theirs, g)) or not all(map(le, theirs[i - 1], g))]
+        if not missed:
+            return True
+        head = theirs[:bisect_right(theirs, missed[-1])]  # the possible divisors
+        return len(_sweep(sorted(head + tuple(missed)), self.n, head)) == len(head)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -211,56 +189,73 @@ class MonIdeal(Frozen):
         return "(" + ", ".join(format_monomial(g) for g in reversed(self.gens)) + ")"
 
 
-def _shifts(n: int, width: int) -> range:
-    """Bit offset of each coordinate's field, the first coordinate highest."""
-    return range((n - 1) * width, -1, -width)
-
-
-def _minimalize(gens, n: int):
-    """Minimal antichain generating the same ideal, sorted lexicographically,
-    and its packing (top, width, guard, packed generators).
-
-    In lex order a vector is divisible only by earlier ones or itself, so
-    each is tested against those kept before it.  For n <= 3 (n = 1, 2
-    padded with leading zeros) these are no larger in the first coordinate,
-    and the test bisects the staircase of the kept points' last two
-    coordinates (b, c): b ascending, c descending, the first point with
-    c' <= c the one with the least b'.  For n >= 4 the packed test is tried
-    against the kept vectors, nearest first.  Only kept vectors are packed.
-    """
+def _minimalize(gens, n: int) -> tuple:
+    """Minimal antichain generating the same ideal, sorted lexicographically."""
     vecs = sorted(set(map(tuple, gens)))
     _check_len(vecs, n)
     if min(itertools.chain((0,), *vecs)) < 0:
         raise ValueError("exponents must be >= 0")
-    top = max(itertools.chain((0,), *vecs))
-    width = top.bit_length() + 1
-    # One guard bit at the top of each of the n fields.
-    guard = ((1 << n * width) - 1) // ((1 << width) - 1) << (width - 1)
-    keep, packed = [], []
-    if n > 3:
-        shifts = _shifts(n, width)
-        for g in vecs:
-            p = sum(map(lshift, g, shifts))
-            q = p | guard
-            for h in reversed(packed):  # the lex-nearest divide most often
-                if (q - h) & guard == guard:  # h divides g
-                    break
-            else:
-                keep.append(g)
-                packed.append(p)
-        return tuple(keep), (top, width, guard, packed)
-    bs, cs, pad = [], [], (0,) * (3 - n)  # the staircase: bs and cs = -c ascending
+    return tuple(_sweep(vecs, n))
+
+
+_SPLIT = itemgetter(slice(1, -2), -2, -1)  # (x..., b, c) of (a, x..., b, c), n >= 2
+
+
+def _sweep(vecs, n: int, stored=()) -> list:
+    """The vectors of the lex-sorted, duplicate-free list vecs that no
+    earlier one divides; those of stored (a lex-sorted antichain of vectors
+    in vecs, as the same objects) are kept untested.
+
+    A vector (a, x..., b, c) (n < 3 padded with leading zeros) is divisible
+    only by earlier ones, which are no larger in a.  The kept ones are
+    filed by their middle coordinates x in nested dicts, one level each,
+    down to a staircase of their last two (b, c): b ascending, c
+    descending.  A test visits the cells at or below its own x at every
+    level and bisects each staircase (one for n <= 3).  A point dominated
+    in (b, c) within its cell leaves it: the dominating vector divides
+    every later vector that the point divides.
+    """
+    pad, make = (0,) * (2 - n), lambda: ([], [])
+    for _ in range(n - 3):
+        make = partial(defaultdict, make)
+    root = make()
+    top, keep, pending = (root,), [], iter(stored)
+    due = next(pending, None)
     for g in vecs:
-        a, b, c = pad + g
-        j = bisect.bisect_left(cs, -c)  # the first point with c' <= c
-        if j < len(bs) and bs[j] <= b:  # it divides g
-            continue
-        # g's point replaces those it dominates: c' > c (before j), b' >= b.
-        i = bisect.bisect_left(bs, b, 0, j)
-        bs[i:j], cs[i:j] = (b,), (-c,)
-        keep.append(g)
-        packed.append(a << 2 * width | b << width | c)  # padding packs to 0
-    return tuple(keep), (top, width, guard, packed)
+        mid, b, c = _SPLIT(pad + g)
+        cells = top
+        if g is due:  # kept untested: no cell to visit
+            due, cells = next(pending, None), ()
+        for x in mid:
+            below = []
+            for cell in cells:
+                for key, sub in cell.items():
+                    if key <= x:
+                        below.append(sub)
+            cells = below
+        for bs, cs in cells:
+            i = bisect_right(bs, b)  # the points [0, i) have b' <= b
+            if i and cs[i - 1] <= c:  # the least c' among them divides g
+                break
+        else:
+            keep.append(g)
+            if mid or not cells:  # else g's own staircase is the one just bisected
+                cell = root
+                for x in mid:
+                    cell = cell[x]
+                bs, cs = cell
+                i = bisect_right(bs, b)
+            # g's point replaces those it dominates: b' = b before i, c' >= c from i.
+            lo = i - 1 if i and bs[i - 1] == b else i
+            hi = i
+            while hi < len(cs) and cs[hi] >= c:
+                hi += 1
+            if lo == hi:
+                bs.insert(lo, b)
+                cs.insert(lo, c)
+            else:
+                bs[lo:hi], cs[lo:hi] = (b,), (c,)
+    return keep
 
 
 def mi_normalize(gens, n: int) -> MonIdeal:

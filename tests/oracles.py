@@ -8,6 +8,7 @@ code they check.  The constructions the library replaced stay here too, as
 second routes for their fast paths.
 """
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -172,7 +173,7 @@ def split_thom_sebastiani(v1, v2, cutoff):
 def pairwise_minimalize(gens):
     """Minimal antichain generating the same ideal, sorted lexicographically,
     by a componentwise comparison of every pair (the minimalization the
-    library used before its packed divisibility test)."""
+    library used before its packed divisibility test, packed_minimalize)."""
     gens = sorted(set(tuple(int(x) for x in g) for g in gens))
     keep = []
     for g in gens:
@@ -192,8 +193,60 @@ def pairwise_minimalize(gens):
 def pairwise_subset(inner, outer):
     """True iff inner is contained in outer: some generator of outer divides
     each generator of inner (the containment test the library used before
-    its packed divisibility test)."""
+    its packed divisibility test, packed_subset)."""
     return all(any(divides(h, g) for h in outer.gens) for g in inner.gens)
+
+
+def _pack(vec, width):
+    """One int with a width-bit field per coordinate, the first highest."""
+    packed = 0
+    for x in vec:
+        packed = packed << width | x
+    return packed
+
+
+def packed_minimalize(gens, n):
+    """Minimal antichain generating the same ideal, sorted lexicographically,
+    by the packed divisibility test (the minimalization the library used
+    for n >= 4 before its dominance sweep in every dimension).
+
+    A vector becomes one int of n fields, the first coordinate in the
+    highest field, so packed order is lex order.  A field is
+    w = top.bit_length() + 1 bits wide for the largest exponent top, so its
+    top bit (the guard) is clear in every packed vector.  With G the guard
+    bits of all fields, h divides g iff ((pack(g) | G) - pack(h)) & G == G:
+    each field computes 2^(w-1) + g_i - h_i, which keeps its guard bit iff
+    h_i <= g_i and never borrows from the next field.  Each vector is tried
+    against the kept ones, nearest first.
+    """
+    vecs = sorted(set(tuple(int(x) for x in g) for g in gens))
+    width = max(itertools.chain((0,), *vecs)).bit_length() + 1
+    guard = _pack((1 << width - 1,) * n, width)
+    keep, packed = [], []
+    for g in vecs:
+        p = _pack(g, width)
+        if not any(((p | guard) - q) & guard == guard for q in reversed(packed)):
+            keep.append(g)
+            packed.append(p)
+    return tuple(keep)
+
+
+def packed_subset(inner, outer):
+    """True iff inner is contained in outer, by the packed divisibility test
+    of packed_minimalize (the containment test the library used before its
+    dominance sweep).  Inner's vectors are clamped to outer's largest
+    exponent, which keeps divisibility by outer's generators and fits
+    outer's fields; a divisor precedes a vector in packed order."""
+    top = max(itertools.chain((0,), *outer.gens))
+    width = top.bit_length() + 1
+    guard = _pack((1 << width - 1,) * outer.n, width)
+    theirs = [_pack(h, width) for h in outer.gens]
+    for g in inner.gens:
+        p = _pack([min(x, top) for x in g], width)
+        end = bisect.bisect_right(theirs, p)
+        if not any(((p | guard) - q) & guard == guard for q in theirs[:end]):
+            return False
+    return True
 
 
 def box_colength(ideal):

@@ -300,6 +300,17 @@ class TestThomSebastianiOracle:
         assert (spectrum_thom_sebastiani(v1, v2, cutoff)
                 == split_thom_sebastiani(v1, v2, cutoff))
 
+    @pytest.mark.parametrize("cutoff", [1, 10])
+    def test_factors_far_past_the_cutoff(self, cutoff):
+        """Candidate jumps come from the factors' starts up to the cutoff and
+        the first sum past it, however far the factors run.  Split sampling
+        at cutoff 10 takes seconds, so there the diagonal builder checks."""
+        v1, v2 = spectrum_one_var(7, 60), spectrum_one_var(11, 60)
+        got = spectrum_thom_sebastiani(v1, v2, cutoff)
+        assert got == spectrum_diagonal((7, 11), cutoff)
+        if cutoff == 1:
+            assert got == split_thom_sebastiani(v1, v2, cutoff)
+
 
 class TestNormalCrossing:
     def test_reduced_divisor(self):

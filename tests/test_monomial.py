@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +22,7 @@ from hmideals.monomial import (
     zero_ideal,
 )
 
-from oracles import pairwise_minimalize, pairwise_subset
+from oracles import packed_minimalize, packed_subset, pairwise_minimalize, pairwise_subset
 
 
 def I(n, *gens):
@@ -241,34 +242,47 @@ def _vectors(draw, n, exponents=_EXPONENTS):
 @st.composite
 def _ideal_pairs(draw):
     """(inner, outer): inner mixes multiples of outer's generators, some by
-    exponents past outer's largest, with vectors of its own."""
-    n = draw(st.integers(1, 5))
+    exponents past outer's largest, with some of outer's own generators and
+    vectors of its own; or inner is outer."""
+    n = draw(st.integers(1, 6))
     # Small exponents in outer make narrow fields that inner's overflow.
     exponents = draw(st.sampled_from([st.integers(0, 4), _EXPONENTS]))
     outer = MonIdeal(n, tuple(draw(_vectors(n, exponents))))
+    if draw(st.integers(0, 4)) == 0:
+        return outer, outer
     mult = st.tuples(*[st.integers(0, 2) | st.integers(0, 2 ** 70)] * n)
     inner = [tuple(map(sum, zip(g, draw(mult))))
              for g in draw(st.lists(st.sampled_from(outer.gens), max_size=5))
              ] if outer.gens else []
+    inner += draw(st.lists(st.sampled_from(outer.gens), max_size=3)) if outer.gens else []
     inner += draw(st.lists(st.tuples(*[_EXPONENTS] * n), max_size=2))
     return MonIdeal(n, tuple(inner)), outer
 
 
 class TestPackedKernel:
-    """The packed divisibility test against the pairwise routes it replaced."""
+    """The lex sweep against the pairwise routes and the packed divisibility
+    test it replaced."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), _vectors(n))))
     def test_minimalize(self, drawn):
         n, gens = drawn
-        assert MonIdeal(n, tuple(gens)).gens == pairwise_minimalize(gens)
+        want = pairwise_minimalize(gens)
+        assert MonIdeal(n, tuple(gens)).gens == want == packed_minimalize(gens, n)
 
     @settings(max_examples=150, deadline=None)
     @given(_ideal_pairs())
     def test_subset(self, pair):
         inner, outer = pair
-        assert inner.subset(outer) == pairwise_subset(inner, outer)
-        assert outer.subset(inner) == pairwise_subset(outer, inner)
+        assert inner.subset(outer) == pairwise_subset(inner, outer) == packed_subset(inner, outer)
+        assert outer.subset(inner) == pairwise_subset(outer, inner) == packed_subset(outer, inner)
+
+    def test_nearest_generator_misses(self):
+        """(0,5,0) is the lex-nearest generator before (1,1,1) and (1,1,0)
+        and divides neither: the sweep settles them."""
+        outer = I(3, (0, 0, 1), (0, 5, 0))
+        assert I(3, (1, 1, 1), (0, 6, 0)).subset(outer)
+        assert not I(3, (1, 1, 0), (0, 6, 0)).subset(outer)
 
     def test_clamp_past_largest_exponent(self):
         outer = I(2, (3, 0), (0, 3))  # 2-bit fields
@@ -281,16 +295,17 @@ class TestPackedKernel:
 
 
 # Cutoffs that keep one spectrum build to a few ms: the last level then
-# holds up to about 80 generators for n = 2 and 190 for n = 3.
-_SWEEP_CUTOFFS = {1: 12, 2: 16, 3: 4}
+# holds up to about 80 generators for n = 2, 190 for n = 3 and 400 for
+# n = 4..6.
+_SWEEP_CUTOFFS = {1: 12, 2: 16, 3: 4, 4: F(5, 2), 5: 2, 6: F(5, 3)}
 
 
 @st.composite
-def _staircase_mixes(draw):
-    """(n, gens) for n <= 3: a staircase level of a random diagonal spectrum
-    (a large antichain), shuffled together with duplicates and multiples of
-    its generators and a few vectors drawn in its bounding box."""
-    n = draw(st.integers(1, 3))
+def _staircase_mixes(draw, dims=(1, 3)):
+    """(n, gens): a staircase level of a random diagonal spectrum (a large
+    antichain), shuffled together with duplicates and multiples of its
+    generators and a few vectors drawn in its bounding box."""
+    n = draw(st.integers(*dims))
     # Drawn down from the largest values, which Hypothesis tries first.
     m_vec = draw(st.tuples(*[st.integers(0, 3).map(lambda d: 6 - d)] * n))
     top = _SWEEP_CUTOFFS[n]
@@ -306,7 +321,8 @@ def _staircase_mixes(draw):
 
 
 class TestStaircaseSweep:
-    """The sweep that minimalizes for n <= 3 against the pairwise route."""
+    """The sweep against the pairwise route and the packed test, on large
+    antichains."""
 
     @settings(max_examples=60, deadline=None)
     @given(_staircase_mixes())
@@ -314,14 +330,24 @@ class TestStaircaseSweep:
         n, gens = drawn
         ideal = MonIdeal(n, tuple(gens))
         assert ideal.gens == pairwise_minimalize(gens)
-        # The packing: fields sized by the largest exponent given, redundant
-        # generators included, and only the kept generators packed.
-        top = max((x for g in gens for x in g), default=0)
-        width = top.bit_length() + 1
-        shifts = [(n - 1 - i) * width for i in range(n)]
-        packed = [sum(x << s for x, s in zip(g, shifts)) for g in ideal.gens]
-        guard = sum(1 << (s + width - 1) for s in shifts)
-        assert ideal._packing == (top, width, guard, packed)
+        # Nothing but n and gens is stored.
+        assert MonIdeal.__slots__ == MonIdeal._fields
+
+    @settings(max_examples=30, deadline=None)
+    @given(_staircase_mixes(dims=(4, 6)))
+    def test_large_antichains_nested(self, drawn):
+        """n = 4..6: the cells of the middle coordinates."""
+        n, gens = drawn
+        want = pairwise_minimalize(gens)
+        assert MonIdeal(n, tuple(gens)).gens == want == packed_minimalize(gens, n)
+
+    def test_large_max_ideal_powers(self):
+        """The sweep keeps every generator of an antichain in near-linear
+        time; the packed scan it replaced took about 6 s for these two."""
+        start = time.perf_counter()
+        assert len(max_ideal_power(4, 40).gens) == math.comb(43, 3) == 12341
+        assert len(max_ideal_power(6, 12).gens) == math.comb(17, 5) == 6188
+        assert time.perf_counter() - start < 3
 
     @settings(max_examples=40, deadline=None)
     @given(_staircase_mixes(), st.data())
