@@ -223,7 +223,7 @@ def test_equal_calls_construct_equally(monkeypatch, n):
 
 
 # Exponents small enough to collide and divide, or up to 2**70, which
-# forces fields far wider than a machine word.
+# forces the packed oracle's fields far wider than a machine word.
 _EXPONENTS = st.integers(0, 4) | st.integers(0, 2 ** 70)
 
 
@@ -245,7 +245,7 @@ def _ideal_pairs(draw):
     exponents past outer's largest, with some of outer's own generators and
     vectors of its own; or inner is outer."""
     n = draw(st.integers(1, 6))
-    # Small exponents in outer make narrow fields that inner's overflow.
+    # Small exponents in outer make narrow packed fields that inner's overflow.
     exponents = draw(st.sampled_from([st.integers(0, 4), _EXPONENTS]))
     outer = MonIdeal(n, tuple(draw(_vectors(n, exponents))))
     if draw(st.integers(0, 4)) == 0:
@@ -285,7 +285,7 @@ class TestPackedKernel:
         assert not I(3, (1, 1, 0), (0, 6, 0)).subset(outer)
 
     def test_clamp_past_largest_exponent(self):
-        outer = I(2, (3, 0), (0, 3))  # 2-bit fields
+        outer = I(2, (3, 0), (0, 3))  # inner's exponents run far past outer's
         assert I(2, (2 ** 70, 0), (1, 9)).subset(outer)
         assert not I(2, (2 ** 70, 0), (2, 2)).subset(outer)
 
