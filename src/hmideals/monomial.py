@@ -11,9 +11,7 @@ for the minima of a point set (Kung, Luccio and Preparata, JACM 1975).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
-from collections import defaultdict
-from functools import partial
+from bisect import bisect_left, bisect_right
 from operator import add, itemgetter, le
 
 from .errors import DimensionError
@@ -208,17 +206,15 @@ def _sweep(vecs, n: int, stored=()) -> list:
 
     A vector (a, x..., b, c) (n < 3 padded with leading zeros) is divisible
     only by earlier ones, which are no larger in a.  The kept ones are
-    filed by their middle coordinates x in nested dicts, one level each,
-    down to a staircase of their last two (b, c): b ascending, c
-    descending.  A test visits the cells at or below its own x at every
-    level and bisects each staircase (one for n <= 3).  A point dominated
-    in (b, c) within its cell leaves it: the dominating vector divides
-    every later vector that the point divides.
+    filed in a tree with one level per middle coordinate x, down to a
+    staircase of their last two (b, c).  Each node is a pair of parallel
+    sorted lists: keys and children, or b ascending and c descending.  A
+    test takes the children at or below its own x at every level and
+    bisects each staircase (one for n <= 3).  A point dominated in (b, c)
+    within its staircase leaves it: the dominating vector divides every
+    later vector that the point divides.
     """
-    pad, make = (0,) * (2 - n), lambda: ([], [])
-    for _ in range(n - 3):
-        make = partial(defaultdict, make)
-    root = make()
+    pad, root = (0,) * (2 - n), ([], [])
     top, keep, pending = (root,), [], iter(stored)
     due = next(pending, None)
     for g in vecs:
@@ -228,10 +224,8 @@ def _sweep(vecs, n: int, stored=()) -> list:
             due, cells = next(pending, None), ()
         for x in mid:
             below = []
-            for cell in cells:
-                for key, sub in cell.items():
-                    if key <= x:
-                        below.append(sub)
+            for keys, subs in cells:
+                below += subs[:bisect_right(keys, x)]
             cells = below
         for bs, cs in cells:
             i = bisect_right(bs, b)  # the points [0, i) have b' <= b
@@ -242,7 +236,12 @@ def _sweep(vecs, n: int, stored=()) -> list:
             if mid or not cells:  # else g's own staircase is the one just bisected
                 cell = root
                 for x in mid:
-                    cell = cell[x]
+                    keys, subs = cell
+                    i = bisect_left(keys, x)
+                    if i == len(keys) or keys[i] != x:
+                        keys.insert(i, x)
+                        subs.insert(i, ([], []))
+                    cell = subs[i]
                 bs, cs = cell
                 i = bisect_right(bs, b)
             # g's point replaces those it dominates: b' = b before i, c' >= c from i.
