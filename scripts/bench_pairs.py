@@ -1,12 +1,14 @@
 """Alternating parent/change benchmark pairs, appended to BENCH_<workload>.json.
 
     python3 scripts/bench_pairs.py --workload spectra-build --seeds 2026,7 \
-        --pairs 5 --parent HEAD~1 [--seconds 30] [--parent-dir DIR]
+        --pairs 5 --parent HEAD~1
 
 The change side is this checkout; the parent side is a `git worktree` of
-the --parent revision (removed afterwards), or an existing checkout of it
-given by --parent-dir.  Pair i runs the parent first when i is odd and the
-change first when it is even, one `bench/run.py` run at a time.  Each run's
+the --parent revision, removed afterwards.  Every run lasts the
+benchmark's `run_seconds` (BENCHMARK.json).  Pairs are numbered after
+those the file already holds for the seed; pair i runs the parent first
+when i is odd and the change first when it is even, one `bench/run.py`
+run at a time.  Each run's
 record (provenance and the end-to-end metrics of
 `.bench_build/result-<workload>-seed<seed>-trace0.json`) is appended to
 BENCH_<workload>.json at the root of this checkout, and the summary is
@@ -29,10 +31,18 @@ METHOD = ("alternating parent/change pairs (odd pairs run the parent first), one
           ".bench_build/result-WORKLOAD-seedSEED-trace0.json")
 
 
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+SECONDS = SPEC["run_seconds"]
+
+
 def directions():
     """{end-to-end metric: "higher" or "lower"} from BENCHMARK.json."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+
+
+def run_order(pair):
+    """The sides of pair number pair in run order: parent first when odd."""
+    return ("parent", "change") if pair % 2 else ("change", "parent")
 
 
 def git(*args, cwd=ROOT):
@@ -40,10 +50,10 @@ def git(*args, cwd=ROOT):
                           capture_output=True, text=True).stdout.strip()
 
 
-def run_once(checkout, workload, seed, seconds, sha):
+def run_once(checkout, workload, seed, sha):
     """One bench/run.py run in checkout; its record without the pair fields."""
     subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed",
-                    str(seed), "--seconds", str(seconds), "--trace", "0"],
+                    str(seed), "--seconds", str(SECONDS), "--trace", "0"],
                    cwd=checkout, check=True, capture_output=True)
     path = Path(checkout) / ".bench_build" / f"result-{workload}-seed{seed}-trace0.json"
     result = json.loads(path.read_text())
@@ -104,40 +114,33 @@ def main(argv=None):
     parser.add_argument("--seeds", required=True, help="comma-separated, e.g. 2026,7")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--parent-dir", help="an existing checkout of the parent revision")
     args = parser.parse_args(argv)
     parent_sha, change_sha = git("rev-parse", args.parent), git("rev-parse", "HEAD")
     bench = ROOT / f"BENCH_{args.workload}.json"
     data = json.loads(bench.read_text()) if bench.exists() else {
         "workload": args.workload,
         "command": f"python3 bench/run.py --workload {args.workload} --seed SEED "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {SECONDS:g} --trace 0",
         "method": METHOD.replace("WORKLOAD", args.workload),
         "summary": [], "records": []}
-    tmp = None
-    parent_dir = args.parent_dir
-    if parent_dir is None:
-        tmp = tempfile.mkdtemp(prefix="bench-parent-")
-        git("worktree", "add", "--detach", tmp, parent_sha)
-        parent_dir = tmp
-    sides = {"parent": (parent_dir, parent_sha), "change": (str(ROOT), change_sha)}
+    tmp = tempfile.mkdtemp(prefix="bench-parent-")
+    git("worktree", "add", "--detach", tmp, parent_sha)
+    sides = {"parent": (tmp, parent_sha), "change": (str(ROOT), change_sha)}
     try:
         for seed in map(int, args.seeds.split(",")):
             # Pairs are numbered after those the file already holds.
             kept = max((r["pair"] for r in data["records"] if r["seed"] == seed), default=0)
-            for pair in range(1, args.pairs + 1):
-                order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for pair in range(kept + 1, kept + args.pairs + 1):
+                order = run_order(pair)
                 for side in order:
                     checkout, sha = sides[side]
-                    record = {"side": side, "seed": seed, "pair": kept + pair,
+                    record = {"side": side, "seed": seed, "pair": pair,
                               "ran_first": side == order[0],
-                              **run_once(checkout, args.workload, seed, args.seconds, sha)}
+                              **run_once(checkout, args.workload, seed, sha)}
                     data["records"].append(record)
                     print(json.dumps({k: record[k] for k in ("side", "seed", "pair", "metrics")}))
     finally:
-        if tmp is not None:
-            git("worktree", "remove", "--force", tmp)
+        git("worktree", "remove", "--force", tmp)
     data["parent"] = parent_sha
     data["summary"] = summarize(data["records"], directions())
     bench.write_text(json.dumps(data, indent=1) + "\n")

@@ -98,25 +98,29 @@ def _staircase(tables, level: int) -> tuple:
     for j in range(n - 2, -1, -1):
         rest[j] = rest[j + 1] + tables[j + 1][0]
     last = tables[-1]
+    if n == 1:
+        return ((bisect.bisect_left(last, level),),)
     mu = [0] * n
     gens = []
 
     def walk(j, partial):
-        if j == n - 1:
-            x = bisect.bisect_left(last, level - partial)
-            slack = partial + last[x] - level
-            for i in range(n - 1):
-                a = mu[i]
-                if a and tables[i][a] - tables[i][a - 1] <= slack:
-                    return
-            mu[j] = x
-            gens.append(tuple(mu))
-            return
         table = tables[j]
         for x, v in enumerate(table):
             mu[j] = x
-            walk(j + 1, partial + v)
-            if partial + v + rest[j] >= level:
+            total = partial + v
+            if j < n - 2:
+                walk(j + 1, total)
+            else:  # the last coordinate is the least that reaches the level
+                y = bisect.bisect_left(last, level - total)
+                slack = total + last[y] - level
+                for i in range(n - 1):
+                    a = mu[i]
+                    if a and tables[i][a] - tables[i][a - 1] <= slack:
+                        break
+                else:
+                    mu[-1] = y
+                    gens.append(tuple(mu))
+            if total + rest[j] >= level:
                 break
 
     walk(0, 0)

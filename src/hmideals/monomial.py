@@ -90,7 +90,7 @@ class MonIdeal(Frozen):
 
         A divisor precedes a vector in lex order; the lex-nearest generator
         of other divides most often (for n <= 2 it is the only candidate).
-        The vectors it misses lie in other iff a sweep that keeps other's
+        The vectors it misses lie in other iff a sweep that files other's
         possible divisors untested keeps none of them."""
         self._same_n(other)
         theirs = other.gens
@@ -99,7 +99,7 @@ class MonIdeal(Frozen):
         if not missed:
             return True
         head = theirs[:bisect_right(theirs, missed[-1])]  # the possible divisors
-        return len(_sweep(sorted(head + tuple(missed)), self.n, head)) == len(head)
+        return not _sweep(sorted(head + tuple(missed)), self.n, head)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -201,8 +201,10 @@ _SPLIT = itemgetter(slice(1, -2), -2, -1)  # (x..., b, c) of (a, x..., b, c), n 
 
 def _sweep(vecs, n: int, stored=()) -> list:
     """The vectors of the lex-sorted, duplicate-free list vecs that no
-    earlier one divides; those of stored (a lex-sorted antichain of vectors
-    in vecs, as the same objects) are kept untested.
+    earlier one divides, those of stored left out.  The vectors of stored
+    (a lex-sorted antichain of vectors in vecs, as the same objects) are
+    filed untested.  The filed vectors stay an antichain only until a
+    tested one is kept, so with stored the sweep returns that one alone.
 
     A vector (a, x..., b, c) (n < 3 padded with leading zeros) is divisible
     only by earlier ones, which are no larger in a.  The kept ones are
@@ -219,9 +221,7 @@ def _sweep(vecs, n: int, stored=()) -> list:
     due = next(pending, None)
     for g in vecs:
         mid, b, c = _SPLIT(pad + g)
-        cells = top
-        if g is due:  # kept untested: no cell to visit
-            due, cells = next(pending, None), ()
+        cells = top if g is not due else ()  # no cell to visit for stored
         for x in mid:
             below = []
             for keys, subs in cells:
@@ -232,7 +232,12 @@ def _sweep(vecs, n: int, stored=()) -> list:
             if i and cs[i - 1] <= c:  # the least c' among them divides g
                 break
         else:
-            keep.append(g)
+            if g is due:
+                due = next(pending, None)
+            elif stored:
+                return [g]
+            else:
+                keep.append(g)
             if mid or not cells:  # else g's own staircase is the one just bisected
                 cell = root
                 for x in mid:

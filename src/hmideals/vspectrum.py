@@ -39,11 +39,13 @@ class VSpectrum(Frozen):
         prev_beta = Fraction(0)
         prev_ideal = unit_ideal(self.n)
         for beta, ideal in self.jumps:
-            if not prev_beta < beta <= self.cutoff:
-                raise ValueError(f"jump {beta} out of order or beyond cutoff {self.cutoff}")
+            if not prev_beta < beta:
+                raise ValueError(f"jump {beta} out of order")
             if not (ideal.subset(prev_ideal) and ideal != prev_ideal):
                 raise ValueError(f"filtration does not strictly descend at beta={beta}")
             prev_beta, prev_ideal = beta, ideal
+        if prev_beta > self.cutoff:  # the jumps ascend: the last is the largest
+            raise ValueError(f"jump {prev_beta} beyond cutoff {self.cutoff}")
 
     # -- queries -------------------------------------------------------
 

@@ -11,6 +11,7 @@ from hmideals.errors import DimensionError
 from hmideals.monomial import (
     INFINITE,
     MonIdeal,
+    _sweep,
     divides,
     format_monomial,
     max_ideal_power,
@@ -283,6 +284,15 @@ class TestPackedKernel:
         outer = I(3, (0, 0, 1), (0, 5, 0))
         assert I(3, (1, 1, 1), (0, 6, 0)).subset(outer)
         assert not I(3, (1, 1, 0), (0, 6, 0)).subset(outer)
+
+    def test_sweep_stops_at_first_kept_miss(self):
+        """With stored vectors the sweep returns the first tested vector it
+        keeps: (1,0,1) divides the stored (2,1,1), so filing on past it would
+        break the antichain of filed vectors."""
+        stored = ((0, 0, 3), (0, 3, 0), (2, 1, 1))
+        vecs = sorted(stored + ((1, 3, 0), (1, 0, 1), (1, 1, 0)))
+        assert _sweep(vecs, 3, stored) == [(1, 0, 1)]
+        assert _sweep(sorted(stored + ((1, 3, 0),)), 3, stored) == []
 
     def test_clamp_past_largest_exponent(self):
         outer = I(2, (3, 0), (0, 3))  # inner's exponents run far past outer's

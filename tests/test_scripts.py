@@ -51,3 +51,11 @@ def test_bench_pairs_summary():
                    "change_wins": "2/3"}
     assert summary[0]["peak_rss_mb"]["change_wins"] == "2/3"
     assert summary[1]["throughput_ops_per_s"]["parent_quartiles"] == [10, 10]
+
+
+def test_bench_pairs_run_order():
+    """The side that runs first follows the recorded pair number, so the
+    alternation carries on across invocations: odd pairs run the parent first."""
+    order = _bench_pairs().run_order
+    assert [order(p) for p in (1, 2, 15, 16)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change"), ("change", "parent")]

@@ -59,6 +59,8 @@ class TestInvariants:
     def test_jump_beyond_cutoff_rejected(self):
         with pytest.raises(ValueError):
             VSpectrum(1, 1, ((2, I(1, (1,))),))
+        with pytest.raises(ValueError, match="beyond cutoff"):  # only the last is past it
+            VSpectrum(1, F(3, 2), ((1, I(1, (1,))), (2, I(1, (2,)))))
 
 
 class TestValueAt:
