@@ -3,8 +3,9 @@
     python3 scripts/bench_pairs.py --workload spectra-build --seeds 2026,7 \
         --pairs 5 --parent HEAD~1
 
-The change side is this checkout; the parent side is a `git worktree` of
-the --parent revision, removed afterwards.  Every run lasts the
+The change side is this checkout; the parent side is the committed files
+of the --parent revision, extracted by `git archive` into a temporary
+directory that is removed afterwards.  Every run lasts the
 benchmark's `run_seconds` (BENCHMARK.json).  Pairs are numbered after
 those the file already holds for the seed; pair i runs the parent first
 when i is odd and the change first when it is even, one `bench/run.py`
@@ -18,10 +19,12 @@ Standard library only.
 """
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -123,10 +126,11 @@ def main(argv=None):
                    f"--seconds {SECONDS:g} --trace 0",
         "method": METHOD.replace("WORKLOAD", args.workload),
         "summary": [], "records": []}
-    tmp = tempfile.mkdtemp(prefix="bench-parent-")
-    git("worktree", "add", "--detach", tmp, parent_sha)
-    sides = {"parent": (tmp, parent_sha), "change": (str(ROOT), change_sha)}
-    try:
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        archive = subprocess.run(["git", "archive", parent_sha], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        tarfile.open(fileobj=io.BytesIO(archive)).extractall(tmp, filter="data")
+        sides = {"parent": (tmp, parent_sha), "change": (str(ROOT), change_sha)}
         for seed in map(int, args.seeds.split(",")):
             # Pairs are numbered after those the file already holds.
             kept = max((r["pair"] for r in data["records"] if r["seed"] == seed), default=0)
@@ -139,8 +143,6 @@ def main(argv=None):
                               **run_once(checkout, args.workload, seed, sha)}
                     data["records"].append(record)
                     print(json.dumps({k: record[k] for k in ("side", "seed", "pair", "metrics")}))
-    finally:
-        git("worktree", "remove", "--force", tmp)
     data["parent"] = parent_sha
     data["summary"] = summarize(data["records"], directions())
     bench.write_text(json.dumps(data, indent=1) + "\n")

@@ -47,25 +47,15 @@ def build_spectrum(klass: str, params, cutoff=None):
 
     Default cutoff is the first jump plus 3.
     """
-    from .constructors import (
-        spectrum_diagonal,
-        spectrum_one_var,
-        spectrum_ordinary_fermat,
-        spectrum_thom_sebastiani,
-    )
+    from .constructors import spectrum_diagonal, spectrum_ordinary_fermat
 
     m_vec = _exponents(klass, params)
     if cutoff is None:
         cutoff = _first_jump_estimate(m_vec) + 3
-    if klass in ("diagonal", "power"):
-        return spectrum_diagonal(m_vec, cutoff)
     if klass == "fermat-cone":
         return spectrum_ordinary_fermat(*params, cutoff)
-    # ts
-    spect = spectrum_one_var(m_vec[0], cutoff + 1)
-    for m in m_vec[1:-1]:
-        spect = spectrum_thom_sebastiani(spect, spectrum_one_var(m, cutoff + 1), cutoff + 1)
-    return spectrum_thom_sebastiani(spect, spectrum_one_var(m_vec[-1], cutoff + 1), cutoff)
+    # diagonal, power and ts: a Thom-Sebastiani sum of powers is diagonal
+    return spectrum_diagonal(m_vec, cutoff)
 
 
 def _ideal_str(ideal) -> str:

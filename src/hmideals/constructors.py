@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import CutoffExceededError
 from .monomial import MonIdeal, squarefree_ideal, unit_ideal
@@ -51,9 +52,8 @@ def spectrum_diagonal(m_vec, cutoff) -> VSpectrum:
     # The last level is the first achieved weight past the cutoff: it
     # certifies a jump sitting exactly at the cutoff.
     levels = _truncated_sumset(tables, top)
-    points = [Fraction(level, scale) for level in levels]
     values = [MonIdeal(n, _staircase(tables, level)) for level in levels]
-    return spectrum_from_step(n, cutoff, points, values)
+    return spectrum_from_step(n, cutoff, levels, values, scale)
 
 
 def _truncated_sumset(tables, top) -> list:
@@ -151,6 +151,15 @@ def spectrum_thom_sebastiani(v1: VSpectrum, v2: VSpectrum, cutoff) -> VSpectrum:
     values descend, so only the first counts: the first piece of g with
     hi_2 >= beta - hi_1, found by bisection, if lo_1 + lo_2 < beta.  Pieces
     of f with lo_1 >= beta have no partner.
+
+    Candidate jumps are the sums of one jump of f and one jump of g: the
+    value changes only where a pair of pieces enters or leaves.  A pair
+    leaves at hi_1 + hi_2, such a sum unless it lies past the cutoff.  A
+    pair with f's unit piece enters at a jump lo_2 of g but adds nothing:
+    its product is in that of the pair with g's piece before, which stays
+    until s_1 + lo_2 for f's first jump s_1 (and the same with f and g
+    swapped).  So a build reads each factor up to its first jump past the
+    cutoff.
     """
     cutoff = Fraction(cutoff)
     if cutoff > v1.cutoff or cutoff > v2.cutoff:
@@ -158,11 +167,12 @@ def spectrum_thom_sebastiani(v1: VSpectrum, v2: VSpectrum, cutoff) -> VSpectrum:
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     n = v1.n + v2.n
-    # Every piece end, the factor cutoffs included, is a multiple of
-    # 1/scale, so bounds, candidates and the probe compare as ints.
-    scale = math.lcm(*(end.denominator for v in (v1, v2)
-                       for end in (*v.jumping_numbers(), v.cutoff)))
-    pieces1, pieces2 = _pieces(v1, scale), _pieces(v2, scale)
+    read1, read2 = _piece_ends(v1, cutoff), _piece_ends(v2, cutoff)
+    # Every piece end read and both factor cutoffs are multiples of 1/scale,
+    # so bounds, candidates and the probe compare as ints.
+    scale = math.lcm(v1.cutoff.denominator, v2.cutoff.denominator,
+                     *(end.denominator for end in read1 + read2))
+    pieces1, pieces2 = _pieces(v1, read1, scale), _pieces(v2, read2, scale)
     ends2 = [hi for _, hi, _ in pieces2]
 
     def value(beta: int) -> MonIdeal:  # beta in units of 1/scale
@@ -170,40 +180,56 @@ def spectrum_thom_sebastiani(v1: VSpectrum, v2: VSpectrum, cutoff) -> VSpectrum:
         for lo1, hi1, a in pieces1:
             if lo1 >= beta:
                 break
-            # beta never passes g's cutoff, the last end, so the index exists.
+            # beta - hi1 never passes the last end of g's pieces: that end
+            # is g's cutoff, or follows g's first jump past the cutoff, and
+            # the probe is at most f's first jump plus that jump.
             lo2, _, b = pieces2[bisect.bisect_left(ends2, beta - hi1)]
             if lo1 + lo2 < beta:
                 gens += [g + h for g in a.gens for h in b.gens]
         return MonIdeal(n, tuple(gens))
 
-    # Candidate jumps: the sums of factor jumps (including 0), which are the
-    # pieces' starts, up to the cutoff, and the first one past it, which
+    # The sums of jumps up to the cutoff, then the first sum past it, which
     # certifies a terminal jump within the range both factors guarantee.
-    last = math.floor(cutoff * scale)
-    starts2 = [lo for lo, _, _ in pieces2] + [math.inf]
+    last = cutoff.numerator * scale // cutoff.denominator
+    starts2 = [lo for lo, _, _ in pieces2[1:]] + [math.inf]
     points, past = set(), math.inf
-    for lo1, _, _ in pieces1:
+    for lo1, _, _ in pieces1[1:]:
         k = bisect.bisect_right(starts2, last - lo1)
         points.update(lo1 + lo2 for lo2 in starts2[:k])
         past = min(past, lo1 + starts2[k])
-        if not k:  # lo1 is past the cutoff, and so are the later starts
+        if not k:  # this sum and every later one is past the cutoff
             break
-    points = sorted(points - {0})
+    points = sorted(points)
     if past < math.inf:
-        probe = min(past, int(v1.cutoff * scale), int(v2.cutoff * scale))
+        probe = min(past, *(_scaled(v.cutoff, scale) for v in (v1, v2)))
         if probe > (points[-1] if points else 0):
             points.append(probe)
-    values = [value(p) for p in points]
-    return spectrum_from_step(n, cutoff, [Fraction(p, scale) for p in points], values)
+    return spectrum_from_step(n, cutoff, points, [value(p) for p in points], scale)
 
 
-def _pieces(spect: VSpectrum, scale: int) -> list:
-    """(lo, hi, ideal) for each interval (lo, hi] of (0, cutoff] on which the
-    spectrum is constant, the ends times scale as ints: the unit ideal, then
-    the value after each jump."""
-    ends = [0, *(int(end * scale) for end in (*spect.jumping_numbers(), spect.cutoff))]
-    ideals = [unit_ideal(spect.n), *(ideal for _, ideal in spect.jumps)]
+def _piece_ends(spect: VSpectrum, cutoff: Fraction) -> list:
+    """The ends of the pieces a Thom-Sebastiani build to cutoff reads: the
+    jumps up to the cutoff and the first jump past it, then the end of that
+    last piece (the next jump, or the spectrum's cutoff)."""
+    k = bisect.bisect_right(spect.jumps, cutoff, key=itemgetter(0))
+    ends = [beta for beta, _ in spect.jumps[:k + 2]]
+    if len(ends) < k + 2:
+        ends.append(spect.cutoff)
+    return ends
+
+
+def _pieces(spect: VSpectrum, ends: list, scale: int) -> list:
+    """(lo, hi, ideal) for the intervals (lo, hi] that end at ends, on which
+    the spectrum is constant, the ends in units of 1/scale: the unit ideal,
+    then the value after each jump."""
+    ends = [0, *(_scaled(end, scale) for end in ends)]
+    ideals = [unit_ideal(spect.n), *(ideal for _, ideal in spect.jumps[:len(ends) - 2])]
     return list(zip(ends, ends[1:], ideals))
+
+
+def _scaled(x: Fraction, scale: int) -> int:
+    """x * scale for a scale that x's denominator divides."""
+    return x.numerator * (scale // x.denominator)
 
 
 def nc_ideal(m_vec, k: int, alpha) -> HMIdeal:

@@ -171,19 +171,23 @@ class HMIdeal(Frozen):
         return f"f^{self.f_power} * {self.ideal}"
 
 
-def spectrum_from_step(n: int, cutoff: Fraction, points, values) -> VSpectrum:
+def spectrum_from_step(n: int, cutoff: Fraction, points, values, scale: int = 1) -> VSpectrum:
     """Assemble a spectrum from a sampled step function.
 
-    points are strictly increasing candidate jump locations and values[i] is
-    the filtration value on the interval ending at points[i] (values[0] on
-    (0, points[0]], which must be the unit ideal).  A candidate is a jump iff
-    the next interval's value differs; callers certify the last in-range
-    candidate by supplying one extra point beyond the cutoff.  Non-jumps are
-    dropped.
+    points are strictly increasing candidate jump locations in units of
+    1/scale (ints when scale > 1) and values[i] is the filtration value on
+    the interval ending at points[i] (values[0] on (0, points[0]], which
+    must be the unit ideal).  A candidate is a jump iff the next interval's
+    value differs; callers certify the last in-range candidate by supplying
+    one extra point beyond the cutoff.  Non-jumps are dropped; each kept
+    jump is points[i] / scale.
     """
     if values and values[0] != unit_ideal(n):
         raise ValueError("filtration must start at the unit ideal")
-    end = min(bisect.bisect_right(points, cutoff), len(points) - 1)
+    # An int point is <= cutoff * scale iff it is <= the floor.
+    top = cutoff if scale == 1 else cutoff.numerator * scale // cutoff.denominator
+    end = min(bisect.bisect_right(points, top), len(points) - 1)
     return VSpectrum(n, cutoff, tuple([
-        (points[i], values[i + 1]) for i in range(end) if values[i + 1] != values[i]
+        (Fraction(points[i], scale), values[i + 1])
+        for i in range(end) if values[i + 1] != values[i]
     ]))

@@ -7,7 +7,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hmideals import (
     MonIdeal,
@@ -310,6 +310,63 @@ class TestThomSebastianiOracle:
         assert got == spectrum_diagonal((7, 11), cutoff)
         if cutoff == 1:
             assert got == split_thom_sebastiani(v1, v2, cutoff)
+
+
+# A factor: (m_vec, cutoff, ts).  One or two variables with m in 1..5,
+# built to its own cutoff, drawn about its first jump, so that about one
+# factor in four has no jump at or below its cutoff; with ts and two
+# variables, the Thom-Sebastiani sum of its two powers.
+_factor_specs = st.tuples(
+    st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple),
+    st.fractions(F(-1, 2), F(3, 2), max_denominator=6),
+    st.booleans(),
+).map(lambda spec: (spec[0], max(F(1, 6), _first_jump(spec[0]) + spec[1]),
+                    spec[2] and len(spec[0]) == 2))
+# The TS cutoff: the smaller factor cutoff, a jump of the sum (drawn by
+# index, below the smaller factor cutoff where one is, so that the probe
+# can certify it), or a fraction of the smaller factor cutoff.
+_ts_cutoff_specs = (st.just(("factor",))
+                    | st.tuples(st.just("jump"), st.integers(0, 30))
+                    | st.tuples(st.just("part"), st.fractions(F(1, 12), 1, max_denominator=12)))
+
+
+def _factor(m_vec, cutoff, ts):
+    if not ts:
+        return spectrum_diagonal(m_vec, cutoff)
+    a, b = (spectrum_one_var(m, cutoff + F(1, 2)) for m in m_vec)
+    return spectrum_thom_sebastiani(a, b, cutoff)
+
+
+def _ts_cutoff(choice, m_vec, low):
+    if choice[0] == "factor":
+        return low
+    if choice[0] == "part":
+        return low * choice[1]
+    jumps = spectrum_diagonal(m_vec, low).jumping_numbers()
+    jumps = [beta for beta in jumps if beta < low] or jumps or [low]
+    return jumps[choice[1] % len(jumps)]
+
+
+class TestThomSebastianiCandidates:
+    """Candidate jumps are the sums of one jump of each factor: a sum with a
+    factor start of 0 never changes the value."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_factor_specs, _factor_specs, _ts_cutoff_specs)
+    # a jump at the TS cutoff, certified by the factors' jumps past it
+    @example(((2,), F(2), False), ((2,), F(2), False), ("jump", 0))
+    # a jump at the TS cutoff, which is a factor cutoff
+    @example(((2,), F(1), False), ((3,), F(2), False), ("factor",))
+    # a factor with no jump at or below its cutoff
+    @example(((1,), F(1, 2), False), ((2, 3), F(2), False), ("factor",))
+    @example(((2, 3), F(2), False), ((1, 1), F(3, 2), False), ("part", F(1)))
+    # Thom-Sebastiani sums as both factors, a jump at the TS cutoff
+    @example(((2, 3), F(2), True), ((1, 5), F(3, 2), True), ("jump", 30))
+    def test_against_split_sampling(self, spec1, spec2, choice):
+        v1, v2 = _factor(*spec1), _factor(*spec2)
+        cutoff = _ts_cutoff(choice, spec1[0] + spec2[0], min(v1.cutoff, v2.cutoff))
+        assert (spectrum_thom_sebastiani(v1, v2, cutoff)
+                == split_thom_sebastiani(v1, v2, cutoff))
 
 
 class TestNormalCrossing:
