@@ -152,14 +152,12 @@ def spectrum_thom_sebastiani(v1: VSpectrum, v2: VSpectrum, cutoff) -> VSpectrum:
     hi_2 >= beta - hi_1, found by bisection, if lo_1 + lo_2 < beta.  Pieces
     of f with lo_1 >= beta have no partner.
 
-    Candidate jumps are the sums of one jump of f and one jump of g: the
-    value changes only where a pair of pieces enters or leaves.  A pair
-    leaves at hi_1 + hi_2, such a sum unless it lies past the cutoff.  A
-    pair with f's unit piece enters at a jump lo_2 of g but adds nothing:
-    its product is in that of the pair with g's piece before, which stays
-    until s_1 + lo_2 for f's first jump s_1 (and the same with f and g
-    swapped).  So a build reads each factor up to its first jump past the
-    cutoff.
+    Candidate jumps are the sums of one jump of each factor.  A pair of
+    pieces leaves at such a sum (or past the cutoff); a pair with f's unit
+    piece enters at a jump lo_2 of g, but its product lies in that of the
+    pair with g's piece before, active until s_1 + lo_2 for f's first jump
+    s_1 (likewise with f and g swapped).  So each factor is read up to its
+    first jump past the cutoff.
     """
     cutoff = Fraction(cutoff)
     if cutoff > v1.cutoff or cutoff > v2.cutoff:
