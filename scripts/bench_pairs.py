@@ -13,14 +13,18 @@ run at a time.  Each run's
 record (provenance and the end-to-end metrics of
 `.bench_build/result-<workload>-seed<seed>-trace0.json`) is appended to
 BENCH_<workload>.json at the root of this checkout, and the summary is
-recomputed for every (parent, change, seed) group: the median and
-quartiles of each side and the number of pairs the change wins.
-Standard library only.
+recomputed for every (parent, change, seed) group, each side named by its
+git sha and `src/` digest: the median and quartiles of each side and the
+number of pairs the change wins.  The change side is labelled with HEAD's
+sha, so the script exits 2 while `src`, `tests`, `bench` or
+BENCHMARK.json differ from HEAD.  SIGTERM ends a run like an exception:
+the parent's directory is removed.  Standard library only.
 """
 
 import argparse
 import io
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -34,6 +38,8 @@ METHOD = ("alternating parent/change pairs (odd pairs run the parent first), one
           ".bench_build/result-WORKLOAD-seedSEED-trace0.json")
 
 
+# What a run measures; the change side must be these files as committed.
+MEASURED = ("src", "tests", "bench", "BENCHMARK.json")
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 SECONDS = SPEC["run_seconds"]
 
@@ -51,6 +57,10 @@ def run_order(pair):
 def git(*args, cwd=ROOT):
     return subprocess.run(["git", *args], cwd=cwd, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def run_once(checkout, workload, seed, sha):
@@ -76,19 +86,21 @@ def run_once(checkout, workload, seed, sha):
 
 def summarize(records, better):
     """Median, quartiles and change wins of each metric, per (parent,
-    change, seed) group of complete pairs, in first-seen order."""
+    change, seed) group of complete pairs, in first-seen order; a side is
+    its (git_sha, src_sha256)."""
     groups = {}
     for r in records:
         groups.setdefault(r["seed"], {}).setdefault(r["pair"], {})[r["side"]] = r
     out = []
     for seed, pairs in groups.items():
         whole = [p for p in pairs.values() if {"parent", "change"} <= p.keys()]
-        by_shas = {}
+        by_sides = {}
         for p in whole:
-            key = (p["parent"]["git_sha"], p["change"]["git_sha"])
-            by_shas.setdefault(key, []).append(p)
-        for (parent, change), group in by_shas.items():
-            entry = {"parent": parent, "change": change, "seed": seed}
+            key = tuple(p[s][k] for s in ("parent", "change") for k in ("git_sha", "src_sha256"))
+            by_sides.setdefault(key, []).append(p)
+        for (parent, parent_src, change, change_src), group in by_sides.items():
+            entry = {"parent": parent, "parent_src_sha256": parent_src,
+                     "change": change, "change_src_sha256": change_src, "seed": seed}
             for name, way in better.items():
                 sides = {s: [p[s]["metrics"][name] for p in group] for s in ("parent", "change")}
                 wins = sum((c > p) if way == "higher" else (c < p)
@@ -118,6 +130,9 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     args = parser.parse_args(argv)
+    if git("status", "--porcelain", "--", *MEASURED):
+        parser.exit(2, f"bench_pairs.py: commit the changes to {', '.join(MEASURED)} first\n")
+    signal.signal(signal.SIGTERM, _terminate)
     parent_sha, change_sha = git("rev-parse", args.parent), git("rev-parse", "HEAD")
     bench = ROOT / f"BENCH_{args.workload}.json"
     data = json.loads(bench.read_text()) if bench.exists() else {

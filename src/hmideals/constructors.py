@@ -52,7 +52,7 @@ def spectrum_diagonal(m_vec, cutoff) -> VSpectrum:
     # The last level is the first achieved weight past the cutoff: it
     # certifies a jump sitting exactly at the cutoff.
     levels = _truncated_sumset(tables, top)
-    values = [MonIdeal(n, _staircase(tables, level)) for level in levels]
+    values = [MonIdeal(n, gens) for gens in _staircases(tables, levels)]
     return spectrum_from_step(n, cutoff, levels, values, scale)
 
 
@@ -82,8 +82,9 @@ def _truncated_sumset(tables, top) -> list:
     return sorted(sums) + [past]
 
 
-def _staircase(tables, level: int) -> tuple:
-    """Minimal exponent vectors of scaled weight >= level, in lex order.
+def _staircases(tables, levels) -> list:
+    """For each level, the minimal exponent vectors of scaled weight >= level
+    as a tuple in lex order.
 
     For each prefix the last coordinate is the least that reaches the level;
     a coordinate stops growing once the prefix with zeros after it reaches
@@ -92,16 +93,20 @@ def _staircase(tables, level: int) -> tuple:
     the last coordinate is least by construction.  No level asked for exceeds
     the least achieved weight past the cutoff, so tables that end past the
     cutoff reach it.
+
+    The suffix minima and the walk are set up once and serve every level;
+    the walk's reference to itself is dropped at the end, so a build leaves
+    no cycle for the collector.
     """
     n = len(tables)
+    last = tables[-1]
+    if n == 1:
+        return [((bisect.bisect_left(last, level),),) for level in levels]
     rest = [0] * n  # least weight of the coordinates after j
     for j in range(n - 2, -1, -1):
         rest[j] = rest[j + 1] + tables[j + 1][0]
-    last = tables[-1]
-    if n == 1:
-        return ((bisect.bisect_left(last, level),),)
     mu = [0] * n
-    gens = []
+    out = []
 
     def walk(j, partial):
         table = tables[j]
@@ -123,8 +128,12 @@ def _staircase(tables, level: int) -> tuple:
             if total + rest[j] >= level:
                 break
 
-    walk(0, 0)
-    return tuple(gens)
+    for level in levels:
+        gens = []
+        walk(0, 0)
+        out.append(tuple(gens))
+    del walk
+    return out
 
 
 def spectrum_one_var(m: int, cutoff) -> VSpectrum:

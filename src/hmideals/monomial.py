@@ -5,12 +5,15 @@ divisibility of monomials.  A MonIdeal stores the minimal antichain of
 generators in lexicographic order, so equal ideals compare equal.  The
 unit ideal is generated by the zero vector; the zero ideal has no
 generators.  Minimalization and containment share one lex-order sweep
-for the minima of a point set (Kung, Luccio and Preparata, JACM 1975).
+for the minima of a point set (Kung, Luccio and Preparata, JACM 1975);
+in one or two variables minimalization keeps the running minima of the
+last coordinate instead.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from operator import add, itemgetter, le
 
@@ -193,6 +196,15 @@ def _minimalize(gens, n: int) -> tuple:
     _check_len(vecs, n)
     if min(itertools.chain((0,), *vecs)) < 0:
         raise ValueError("exponents must be >= 0")
+    if n in (1, 2):
+        # Every earlier vector is no larger in the first coordinate, so one
+        # divides g iff its last coordinate is <= g's: keep the running minima.
+        keep, low = [], math.inf
+        for g in vecs:
+            if g[-1] < low:
+                keep.append(g)
+                low = g[-1]
+        return tuple(keep)
     return tuple(_sweep(vecs, n))
 
 

@@ -372,3 +372,52 @@ class TestStaircaseSweep:
         with pytest.raises(ValueError) as excinfo:
             MonIdeal(n, tuple(gens[:i] + [negative] + gens[i + 1:]))
         assert excinfo.type is ValueError
+
+
+@st.composite
+def _shuffled_with_duplicates(draw):
+    """(n, gens) for n = 1, 2: drawn vectors and multiples of them, some
+    repeated, in a drawn order."""
+    n = draw(st.integers(1, 2))
+    gens = draw(_vectors(n))
+    if gens:
+        gens += draw(st.lists(st.sampled_from(gens), max_size=6))
+    return n, draw(st.permutations(gens))
+
+
+class TestRunningMinimum:
+    """For n <= 2 minimalization keeps a vector iff its last coordinate is
+    below every one kept before it in lex order; checked against the
+    pairwise route and against the sweep it bypasses."""
+
+    @staticmethod
+    def _check(n, gens):
+        want = pairwise_minimalize(gens)
+        assert MonIdeal(n, tuple(gens)).gens == want == tuple(_sweep(sorted(set(gens)), n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_shuffled_with_duplicates())
+    def test_unsorted_with_duplicates(self, drawn):
+        self._check(*drawn)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_staircase_mixes(dims=(1, 2)))
+    def test_large_antichains(self, drawn):
+        self._check(*drawn)
+
+    def test_huge_exponents(self):
+        big = 2 ** 70
+        gens = [(big, 0), (0, big), (big, 1), (big - 1, big - 1), (1, big), (big, 0)]
+        self._check(2, gens)
+        assert MonIdeal(2, tuple(gens)).gens == ((0, big), (big - 1, big - 1), (big, 0))
+        self._check(1, [(big,), (big + 1,), (big,)])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bad_vectors_rejected(self, n):
+        good = (2 ** 70,) * n
+        with pytest.raises(ValueError) as excinfo:
+            MonIdeal(n, (good, good[1:] + (-1,)))
+        assert excinfo.type is ValueError
+        for wrong in (good + (0,), good[1:]):
+            with pytest.raises(DimensionError):
+                MonIdeal(n, (good, wrong))

@@ -32,25 +32,53 @@ def _bench_pairs():
 
 
 def test_bench_pairs_summary():
-    """Medians, inclusive quartiles and wins per (parent, change, seed) group;
-    a pair missing a side is left out."""
-    def record(side, seed, pair, sha, ops, rss):
-        return {"side": side, "seed": seed, "pair": pair, "git_sha": sha,
+    """Medians, inclusive quartiles and wins per (parent, change, seed) group,
+    a side named by its sha and source digest; a pair missing a side is left
+    out."""
+    def record(side, seed, pair, sha, ops, rss, src="s0"):
+        return {"side": side, "seed": seed, "pair": pair, "git_sha": sha, "src_sha256": src,
                 "metrics": {"throughput_ops_per_s": ops, "peak_rss_mb": rss}}
     records = [record("parent", 1, p, "a", ops, 10) for p, ops in ((1, 100), (2, 110), (3, 90))]
     records += [record("change", 1, p, "b", ops, rss)
                 for p, ops, rss in ((1, 120, 9), (2, 105, 9), (3, 130, 11))]
     records += [record("parent", 7, 1, "a", 50, 10), record("change", 7, 2, "b", 60, 9)]
     records += [record("parent", 1, 4, "b", 10, 10), record("change", 1, 4, "c", 20, 9)]
+    # The change's sha again, measured from an edited tree.
+    records += [record("parent", 1, p, "a", 100, 10) for p in (5, 6)]
+    records += [record("change", 1, p, "b", ops, 9, src="s1") for p, ops in ((5, 90), (6, 80))]
     better = {"throughput_ops_per_s": "higher", "peak_rss_mb": "lower"}
     summary = _bench_pairs().summarize(records, better)
-    assert [(e["parent"], e["change"], e["seed"]) for e in summary] == [("a", "b", 1), ("b", "c", 1)]
+    assert [(e["parent"], e["change"], e["change_src_sha256"], e["seed"]) for e in summary] == [
+        ("a", "b", "s0", 1), ("b", "c", "s0", 1), ("a", "b", "s1", 1)]
+    assert summary[0]["parent_src_sha256"] == "s0"
     ops = summary[0]["throughput_ops_per_s"]
     assert ops == {"parent_median": 100, "parent_quartiles": [95, 105],
                    "change_median": 120, "change_quartiles": [112.5, 125],
                    "change_wins": "2/3"}
     assert summary[0]["peak_rss_mb"]["change_wins"] == "2/3"
     assert summary[1]["throughput_ops_per_s"]["parent_quartiles"] == [10, 10]
+    assert summary[2]["throughput_ops_per_s"]["change_median"] == 85
+    assert summary[2]["throughput_ops_per_s"]["change_wins"] == "0/2"
+
+
+def test_bench_pairs_refuses_uncommitted_changes(monkeypatch, capsys):
+    """Change records carry HEAD's sha, so a tree that differs from HEAD in
+    what a run measures is refused with exit 2 and one line."""
+    module = _bench_pairs()
+    calls = []
+
+    def git(*args, **kwargs):
+        calls.append(args)
+        return " M src/hmideals/monomial.py"
+
+    monkeypatch.setattr(module, "git", git)
+    with pytest.raises(SystemExit) as excinfo:
+        module.main(["--workload", "spectra-build", "--seeds", "1", "--pairs", "1",
+                     "--parent", "HEAD~1"])
+    assert excinfo.value.code == 2
+    assert calls == [("status", "--porcelain", "--", "src", "tests", "bench", "BENCHMARK.json")]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "commit" in err
 
 
 def test_bench_pairs_run_order():
