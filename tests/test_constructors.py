@@ -245,11 +245,10 @@ def _chain(ts, m_vec, cutoff):
     return ts(spect, factors[-1], cutoff)
 
 
-
 def test_builds_leave_no_cyclic_garbage():
-    """A build frees everything it made by reference counting: a staircase
-    walk that kept a reference to itself left a cycle per level (346 objects
-    for this diagonal build under pytest) for the cyclic collector."""
+    """A build frees everything it made by reference counting, so the cyclic
+    collector finds nothing: a staircase walk that refers to itself would
+    leave a cycle per level."""
     gc.collect()
     gc.disable()
     try:
@@ -259,6 +258,7 @@ def test_builds_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
 
 @st.composite
 def _ts_factors(draw):
