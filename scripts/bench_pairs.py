@@ -15,10 +15,12 @@ record (provenance and the end-to-end metrics of
 BENCH_<workload>.json at the root of this checkout, and the summary is
 recomputed for every (parent, change, seed) group, each side named by its
 git sha and `src/` digest: the median and quartiles of each side and the
-number of pairs the change wins.  The change side is labelled with HEAD's
-sha, so the script exits 2 while `src`, `tests`, `bench` or
-BENCHMARK.json differ from HEAD.  SIGTERM ends a run like an exception:
-the parent's directory is removed.  Standard library only.
+number of pairs the change wins.  The file is rewritten after each
+complete pair, so a stopped run keeps the pairs it finished.  The change
+side is labelled with HEAD's sha, so the script exits 2 while `src`,
+`tests`, `bench` or BENCHMARK.json differ from HEAD.  SIGTERM ends a run
+like an exception: the parent's directory is removed.  Standard library
+only.
 """
 
 import argparse
@@ -123,6 +125,19 @@ def quartiles(values):
     return [q1, q3]
 
 
+def extract(rev, dest):
+    """The committed files of rev, by `git archive`, into dest."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    tarfile.open(fileobj=io.BytesIO(archive)).extractall(dest, filter="data")
+
+
+def save(bench, data):
+    """Write data to bench with its summary recomputed."""
+    data["summary"] = summarize(data["records"], directions())
+    bench.write_text(json.dumps(data, indent=1) + "\n")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -141,10 +156,9 @@ def main(argv=None):
                    f"--seconds {SECONDS:g} --trace 0",
         "method": METHOD.replace("WORKLOAD", args.workload),
         "summary": [], "records": []}
+    data["parent"] = parent_sha
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        archive = subprocess.run(["git", "archive", parent_sha], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        tarfile.open(fileobj=io.BytesIO(archive)).extractall(tmp, filter="data")
+        extract(parent_sha, tmp)
         sides = {"parent": (tmp, parent_sha), "change": (str(ROOT), change_sha)}
         for seed in map(int, args.seeds.split(",")):
             # Pairs are numbered after those the file already holds.
@@ -158,9 +172,7 @@ def main(argv=None):
                               **run_once(checkout, args.workload, seed, sha)}
                     data["records"].append(record)
                     print(json.dumps({k: record[k] for k in ("side", "seed", "pair", "metrics")}))
-    data["parent"] = parent_sha
-    data["summary"] = summarize(data["records"], directions())
-    bench.write_text(json.dumps(data, indent=1) + "\n")
+                save(bench, data)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ import sys
 _EXPORTS = {
     "errors": ("CutoffExceededError", "DimensionError", "HypothesisError"),
     "frozen": (),
-    "monomial": ("INFINITE", "MonIdeal", "max_ideal_power", "mi_normalize", "principal_ideal",
-                 "unit_ideal", "zero_ideal"),
+    "monomial": ("INFINITE", "MonIdeal", "max_ideal_power", "principal_ideal", "unit_ideal",
+                 "zero_ideal"),
     "rat": ("fmt_rat", "parse_rat"),
     "vspectrum": ("HMIdeal", "VSpectrum", "spectrum_from_step"),
     "constructors": ("nc_ideal", "power_scale_check", "qdivisor_ideal", "spectrum_diagonal",

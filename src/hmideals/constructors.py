@@ -51,64 +51,44 @@ def spectrum_diagonal(m_vec, cutoff) -> VSpectrum:
     ]
     # The last level is the first achieved weight past the cutoff: it
     # certifies a jump sitting exactly at the cutoff.
-    levels = _truncated_sumset(tables, top)
-    values = [MonIdeal(n, gens) for gens in _staircases(tables, levels)]
+    levels, staircases = _staircases(tables, top)
+    values = [MonIdeal(n, gens) for gens in staircases]
     return spectrum_from_step(n, cutoff, levels, values, scale)
 
 
-def _truncated_sumset(tables, top) -> list:
-    """The achieved weights <= top in ascending order, then the least achieved
-    weight past top.
+def _staircases(tables, top) -> tuple:
+    """(levels, staircases): the achieved weights <= top in ascending order,
+    then the least achieved weight past top; and for each level the minimal
+    exponent vectors of scaled weight >= it, as a tuple in lex order.
 
-    A partial sum is kept while it plus the least weights of the coordinates
-    still to come stays <= top; the first value that crosses gives a sum past
-    top with those coordinates at zero.  Each table ends past top, so every
-    scan crosses.
-    """
-    sums = {0}
-    rest = sum(table[0] for table in tables)
-    past = math.inf
-    for table in tables:
-        rest -= table[0]
-        grown = set()
-        for s in sums:
-            for v in table:
-                total = s + v + rest
-                if total > top:
-                    past = min(past, total)
-                    break
-                grown.add(s + v)
-        sums = grown
-    return sorted(sums) + [past]
+    A walk at level L lists those vectors.  For each prefix the last
+    coordinate is the least that reaches L; a coordinate stops growing once
+    the prefix with zeros after it reaches L (any larger value is divisible
+    by that point).  A candidate is kept iff lowering any nonzero coordinate
+    by one drops it below L; the last coordinate is least by construction.
+    The weight grows with divisibility, so the least weight L + slack of a
+    kept vector is the least achieved weight >= L: the walk finds the next
+    level, and its vectors are that level's value.  The first walk is at 0
+    (the unit ideal), each later one at one past the level before, until a
+    level passes top.  No walk is above top + 1, which each table reaches.
 
-
-def _staircases(tables, levels) -> list:
-    """For each level, the minimal exponent vectors of scaled weight >= level
-    as a tuple in lex order.
-
-    For each prefix the last coordinate is the least that reaches the level;
-    a coordinate stops growing once the prefix with zeros after it reaches
-    the level (any larger value is divisible by that point).  A candidate is
-    kept iff lowering any nonzero coordinate by one drops it below the level;
-    the last coordinate is least by construction.  No level asked for exceeds
-    the least achieved weight past the cutoff, so tables that end past the
-    cutoff reach it.
-
-    The suffix minima and the walk are set up once and serve every level;
-    the walk's reference to itself is dropped at the end, so a build leaves
-    no cycle for the collector.
+    The suffix minima and the walk are set up once per build; the walk's
+    reference to itself is dropped at the end, so a build leaves no cycle
+    for the collector.
     """
     n = len(tables)
     last = tables[-1]
-    if n == 1:
-        return [((bisect.bisect_left(last, level),),) for level in levels]
+    if n == 1:  # every weight is achieved, by a single power
+        k = bisect.bisect_right(last, top)
+        return last[:k + 1], [((y,),) for y in range(k + 1)]
     rest = [0] * n  # least weight of the coordinates after j
     for j in range(n - 2, -1, -1):
         rest[j] = rest[j + 1] + tables[j + 1][0]
     mu = [0] * n
-    out = []
+    levels, out = [], []
 
     def walk(j, partial):
+        nonlocal least
         table = tables[j]
         for x, v in enumerate(table):
             mu[j] = x
@@ -125,15 +105,20 @@ def _staircases(tables, levels) -> list:
                 else:
                     mu[-1] = y
                     gens.append(tuple(mu))
+                    if slack < least:
+                        least = slack
             if total + rest[j] >= level:
                 break
 
-    for level in levels:
-        gens = []
+    level = 0
+    while not levels or levels[-1] <= top:
+        gens, least = [], math.inf
         walk(0, 0)
+        levels.append(level + least)
         out.append(tuple(gens))
+        level = levels[-1] + 1
     del walk
-    return out
+    return levels, out
 
 
 def spectrum_one_var(m: int, cutoff) -> VSpectrum:

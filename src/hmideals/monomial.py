@@ -274,11 +274,6 @@ def _sweep(vecs, n: int, stored=()) -> list:
     return keep
 
 
-def mi_normalize(gens, n: int) -> MonIdeal:
-    """Canonical minimal form of the ideal generated by gens."""
-    return MonIdeal(n, tuple(gens))
-
-
 def unit_ideal(n: int) -> MonIdeal:
     if 0 <= n < len(_UNITS):
         return _UNITS[n]

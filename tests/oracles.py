@@ -119,6 +119,32 @@ def box_spectrum_diagonal(m_vec, cutoff):
     return spectrum_from_step(n, cutoff, points, values)
 
 
+def truncated_sumset(tables, top) -> list:
+    """The achieved weights <= top in ascending order, then the least achieved
+    weight past top.
+
+    A partial sum is kept while it plus the least weights of the coordinates
+    still to come stays <= top; the first value that crosses gives a sum past
+    top with those coordinates at zero.  Each table ends past top, so every
+    scan crosses.
+    """
+    sums = {0}
+    rest = sum(table[0] for table in tables)
+    past = math.inf
+    for table in tables:
+        rest -= table[0]
+        grown = set()
+        for s in sums:
+            for v in table:
+                total = s + v + rest
+                if total > top:
+                    past = min(past, total)
+                    break
+                grown.add(s + v)
+        sums = grown
+    return sorted(sums) + [past]
+
+
 def split_thom_sebastiani(v1, v2, cutoff):
     """Spectrum of f(x) + g(y) from the spectra of the two summands, by
     sampling split points (the construction the library used before its

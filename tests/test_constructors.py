@@ -23,11 +23,14 @@ from hmideals import (
     unit_ideal,
 )
 
+from hmideals.constructors import _staircases
+
 from oracles import (
     box_spectrum_diagonal,
     howald_multiplier,
     split_thom_sebastiani,
     sum_fermat_cone,
+    truncated_sumset,
 )
 
 
@@ -153,6 +156,59 @@ class TestDiagonalOracle:
         spect = spectrum_diagonal(m_vec, cutoff)
         assert spect == box_spectrum_diagonal(m_vec, cutoff)
         assert (beta in spect.jumping_numbers()) == (kind != "below-jump")
+
+
+def _scaled_weight(m, mu, scale):
+    """scale * (mu + 1 + mu // (m - 1)) / m, or scale * (mu + 1) for m = 1."""
+    return scale * (mu + 1) if m == 1 else scale * (mu + 1 + mu // (m - 1)) // m
+
+
+def _weight_tables(m_vec, top):
+    """Each coordinate's scaled weights at mu = 0, 1, ..., up to the first
+    past top; the scale is lcm(m_j)."""
+    scale = math.lcm(*m_vec)
+    tables = []
+    for m in m_vec:
+        table = [_scaled_weight(m, 0, scale)]
+        while table[-1] <= top:
+            table.append(_scaled_weight(m, len(table), scale))
+        tables.append(table)
+    return tables
+
+
+@st.composite
+def _levels_case(draw):
+    """(m_vec, top): top = floor(cutoff * lcm(m_j)) for a cutoff up to 3 with
+    denominator <= 12, or the scaled weight of a drawn exponent vector (a
+    cutoff on a jump) when that is at most 3."""
+    m_vec = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    scale = math.lcm(*m_vec)
+    cutoff = draw(st.fractions(min_value=F(1, 12), max_value=3, max_denominator=12))
+    top = math.floor(cutoff * scale)
+    if draw(st.booleans()):
+        jump = sum(_scaled_weight(m, draw(st.integers(0, m)), scale) for m in m_vec)
+        if jump <= 3 * scale:
+            top = jump
+    return tuple(m_vec), top
+
+
+@settings(max_examples=100, deadline=None)
+@given(_levels_case())
+@example(((2, 3), 13))  # the cusp at 13/6, a jump
+@example(((2, 2), 6))  # the node at 3, a jump
+@example(((1,), 2))
+@example(((1, 1, 1), 3))  # the first jump is the cutoff
+@example(((6, 6, 6, 6), 4))
+@example(((6, 5, 4, 3), 180))
+def test_walk_levels_are_the_truncated_sumset(case):
+    """Each staircase walk finds the next level itself; the levels are those
+    of the sumset scan the builder used before: the achieved weights up to
+    top, then the first one past it."""
+    m_vec, top = case
+    tables = _weight_tables(m_vec, top)
+    levels, staircases = _staircases(tables, top)
+    assert levels == truncated_sumset(tables, top)
+    assert len(staircases) == len(levels)
 
 
 # Cutoffs relative to the cone's first jump n/m; n/m + 1 is a later jump.

@@ -15,7 +15,6 @@ from hmideals.monomial import (
     divides,
     format_monomial,
     max_ideal_power,
-    mi_normalize,
     principal_ideal,
     squarefree_ideal,
     unit_ideal,
@@ -45,8 +44,8 @@ class TestNormalization:
         with pytest.raises(ValueError):
             I(2, (1, 0, 0))
 
-    def test_mi_normalize_sorted(self):
-        a = mi_normalize([(0, 3), (1, 1), (2, 0), (1, 2)], 2)
+    def test_normalize_sorted(self):
+        a = MonIdeal(2, ((0, 3), (1, 1), (2, 0), (1, 2)))
         assert a.gens == ((0, 3), (1, 1), (2, 0))
 
 

@@ -2,6 +2,7 @@
 is right on synthetic records."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -87,3 +88,39 @@ def test_bench_pairs_run_order():
     order = _bench_pairs().run_order
     assert [order(p) for p in (1, 2, 15, 16)] == [
         ("parent", "change"), ("change", "parent"), ("parent", "change"), ("change", "parent")]
+
+
+def test_bench_pairs_keeps_complete_pairs_when_stopped(monkeypatch, tmp_path):
+    """The file is rewritten after each complete pair, so a run stopped in
+    pair 2 leaves pair 1 and its summary, and no half pair."""
+    module = _bench_pairs()
+    runs = []
+
+    def run_once(checkout, workload, seed, sha):
+        runs.append(sha)
+        if len(runs) == 3:  # the first run of pair 2
+            raise SystemExit(143)
+        value = 100.0 + len(runs)
+        return {"git_sha": sha, "src_sha256": "s-" + sha,
+                "metrics": {name: value for name in module.directions()}}
+
+    def git(*args, **kwargs):  # a clean tree; HEAD~1 is p0 and HEAD c1
+        return {"HEAD~1": "p0", "HEAD": "c1"}[args[1]] if args[0] == "rev-parse" else ""
+
+    monkeypatch.setattr(module, "ROOT", tmp_path)
+    monkeypatch.setattr(module, "git", git)
+    monkeypatch.setattr(module, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(module, "run_once", run_once)
+    monkeypatch.setattr(module.signal, "signal", lambda *args: None)
+    with pytest.raises(SystemExit) as excinfo:
+        module.main(["--workload", "spectra-build", "--seeds", "2026", "--pairs", "3",
+                     "--parent", "HEAD~1"])
+    assert excinfo.value.code == 143
+    data = json.loads((tmp_path / "BENCH_spectra-build.json").read_text())
+    assert data["parent"] == "p0"
+    assert [(r["pair"], r["side"]) for r in data["records"]] == [(1, "parent"), (1, "change")]
+    [entry] = data["summary"]
+    assert (entry["parent"], entry["change"], entry["seed"]) == ("p0", "c1", 2026)
+    assert entry["throughput_ops_per_s"] == {
+        "parent_median": 101.0, "parent_quartiles": [101.0, 101.0],
+        "change_median": 102.0, "change_quartiles": [102.0, 102.0], "change_wins": "1/1"}
