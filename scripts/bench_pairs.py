@@ -132,12 +132,6 @@ def extract(rev, dest):
     tarfile.open(fileobj=io.BytesIO(archive)).extractall(dest, filter="data")
 
 
-def save(bench, data):
-    """Write data to bench with its summary recomputed."""
-    data["summary"] = summarize(data["records"], directions())
-    bench.write_text(json.dumps(data, indent=1) + "\n")
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -172,7 +166,8 @@ def main(argv=None):
                               **run_once(checkout, args.workload, seed, sha)}
                     data["records"].append(record)
                     print(json.dumps({k: record[k] for k in ("side", "seed", "pair", "metrics")}))
-                save(bench, data)
+                data["summary"] = summarize(data["records"], directions())
+                bench.write_text(json.dumps(data, indent=1) + "\n")
 
 
 if __name__ == "__main__":
