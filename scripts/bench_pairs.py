@@ -141,33 +141,38 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if git("status", "--porcelain", "--", *MEASURED):
         parser.exit(2, f"bench_pairs.py: commit the changes to {', '.join(MEASURED)} first\n")
-    signal.signal(signal.SIGTERM, _terminate)
-    parent_sha, change_sha = git("rev-parse", args.parent), git("rev-parse", "HEAD")
-    bench = ROOT / f"BENCH_{args.workload}.json"
-    data = json.loads(bench.read_text()) if bench.exists() else {
-        "workload": args.workload,
-        "command": f"python3 bench/run.py --workload {args.workload} --seed SEED "
-                   f"--seconds {SECONDS:g} --trace 0",
-        "method": METHOD.replace("WORKLOAD", args.workload),
-        "summary": [], "records": []}
-    data["parent"] = parent_sha
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        extract(parent_sha, tmp)
-        sides = {"parent": (tmp, parent_sha), "change": (str(ROOT), change_sha)}
-        for seed in map(int, args.seeds.split(",")):
-            # Pairs are numbered after those the file already holds.
-            kept = max((r["pair"] for r in data["records"] if r["seed"] == seed), default=0)
-            for pair in range(kept + 1, kept + args.pairs + 1):
-                order = run_order(pair)
-                for side in order:
-                    checkout, sha = sides[side]
-                    record = {"side": side, "seed": seed, "pair": pair,
-                              "ran_first": side == order[0],
-                              **run_once(checkout, args.workload, seed, sha)}
-                    data["records"].append(record)
-                    print(json.dumps({k: record[k] for k in ("side", "seed", "pair", "metrics")}))
-                data["summary"] = summarize(data["records"], directions())
-                bench.write_text(json.dumps(data, indent=1) + "\n")
+    # main() may run inside a longer-lived program: put its handler back
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        parent_sha, change_sha = git("rev-parse", args.parent), git("rev-parse", "HEAD")
+        bench = ROOT / f"BENCH_{args.workload}.json"
+        data = json.loads(bench.read_text()) if bench.exists() else {
+            "workload": args.workload,
+            "command": f"python3 bench/run.py --workload {args.workload} --seed SEED "
+                       f"--seconds {SECONDS:g} --trace 0",
+            "method": METHOD.replace("WORKLOAD", args.workload),
+            "summary": [], "records": []}
+        data["parent"] = parent_sha
+        with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+            extract(parent_sha, tmp)
+            sides = {"parent": (tmp, parent_sha), "change": (str(ROOT), change_sha)}
+            for seed in map(int, args.seeds.split(",")):
+                # Pairs are numbered after those the file already holds.
+                kept = max((r["pair"] for r in data["records"] if r["seed"] == seed), default=0)
+                for pair in range(kept + 1, kept + args.pairs + 1):
+                    order = run_order(pair)
+                    for side in order:
+                        checkout, sha = sides[side]
+                        record = {"side": side, "seed": seed, "pair": pair,
+                                  "ran_first": side == order[0],
+                                  **run_once(checkout, args.workload, seed, sha)}
+                        data["records"].append(record)
+                        print(json.dumps({k: record[k]
+                                          for k in ("side", "seed", "pair", "metrics")}))
+                    data["summary"] = summarize(data["records"], directions())
+                    bench.write_text(json.dumps(data, indent=1) + "\n")
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -12,14 +12,13 @@ import sys
 _EXPORTS = {
     "errors": ("CutoffExceededError", "DimensionError", "HypothesisError"),
     "frozen": (),
-    "monomial": ("INFINITE", "MonIdeal", "max_ideal_power", "principal_ideal", "unit_ideal",
-                 "zero_ideal"),
+    "monomial": ("INFINITE", "MonIdeal", "max_ideal_power", "unit_ideal"),
     "rat": ("fmt_rat", "parse_rat"),
     "vspectrum": ("HMIdeal", "VSpectrum", "spectrum_from_step"),
     "constructors": ("nc_ideal", "power_scale_check", "qdivisor_ideal", "spectrum_diagonal",
                      "spectrum_one_var", "spectrum_ordinary_fermat",
                      "spectrum_thom_sebastiani"),
-    "graded": ("HilbertPoly", "StrataData", "containment_threshold", "gdim_ordinary",
+    "graded": ("StrataData", "containment_threshold", "gdim_ordinary",
                "hodge_cyclic_eigenspace", "hodge_prim_hypersurface",
                "independent_conditions_degree", "milnor_hilbert", "min_exponent_upper",
                "nontriviality_data", "symbolic_power_exponent"),

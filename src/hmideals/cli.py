@@ -38,10 +38,6 @@ def _exponents(klass: str, params) -> tuple:
     return (params[1],) * params[0] if klass == "fermat-cone" else tuple(params)
 
 
-def _first_jump_estimate(m_vec) -> Fraction:
-    return sum(Fraction(1, m) for m in m_vec)
-
-
 def build_spectrum(klass: str, params, cutoff=None):
     """Construct the spectrum named on the command line.
 
@@ -51,7 +47,7 @@ def build_spectrum(klass: str, params, cutoff=None):
 
     m_vec = _exponents(klass, params)
     if cutoff is None:
-        cutoff = _first_jump_estimate(m_vec) + 3
+        cutoff = sum(Fraction(1, m) for m in m_vec) + 3  # the first jump, sum 1/m_j
     if klass == "fermat-cone":
         return spectrum_ordinary_fermat(*params, cutoff)
     # diagonal, power and ts: a Thom-Sebastiani sum of powers is diagonal
@@ -95,9 +91,9 @@ def cmd_ideal(args, out):
     if args.k < 0:
         raise ValueError("k must be >= 0")
     m_vec = _exponents(args.klass, args.params)
-    cutoff = args.cutoff
-    if cutoff is None:
-        cutoff = _first_jump_estimate(m_vec) + 3 + args.k
+    # hmi_twisted reads beta = k - alpha <= k + 1, or in (k, k + 1] once
+    # alpha < -1 is twisted into [-1, 0)
+    cutoff = args.k + 1 if args.cutoff is None else args.cutoff
     spect = build_spectrum(args.klass, args.params, cutoff)
     f_exps = m_vec if args.klass == "power" else None
     twisted = spect.hmi_twisted(args.k, args.alpha, f_exps)
@@ -272,7 +268,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", type=_params_arg, required=True,
                        help="comma-separated integers, e.g. 2,3")
         p.add_argument("--cutoff", type=_rat_arg, default=None,
-                       help='rational "p/q"; default: first jump + 3')
+                       help='rational "p/q"; default: first jump + 3, for ideal k + 1')
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("spectrum", help="jump table of a filtration spectrum")

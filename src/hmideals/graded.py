@@ -15,28 +15,6 @@ from itertools import accumulate
 from .frozen import Frozen
 
 
-class HilbertPoly(Frozen):
-    """Coefficient list of a polynomial in t with finite support."""
-
-    __slots__ = _fields = ("coeffs",)
-
-    def __init__(self, coeffs: tuple):
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __getitem__(self, d: int) -> int:
-        if 0 <= d < len(self.coeffs):
-            return self.coeffs[d]
-        return 0
-
-    @property
-    def top(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.coeffs)
-
-
 class StrataData(Frozen):
     """Multiplicity strata: pairs (m, codim of the locus of points of mult m)."""
 
@@ -55,8 +33,9 @@ class StrataData(Frozen):
                 raise ValueError(f"invalid stratum ({m}, {codim})")
 
 
-def milnor_hilbert(n: int, m: int) -> HilbertPoly:
-    """Hilbert function of the Jacobian ring for degree m in n variables."""
+def milnor_hilbert(n: int, m: int) -> tuple:
+    """Hilbert function of the Jacobian ring for degree m in n variables:
+    its coefficients in degrees 0 to n(m-2)."""
     if n < 1 or m < 2:
         raise ValueError("need n >= 1 and m >= 2")
     coeffs = [1]
@@ -64,7 +43,7 @@ def milnor_hilbert(n: int, m: int) -> HilbertPoly:
         # times (1 - t^{m-1}) / (1 - t): a difference, then prefix sums
         shifted = [0] * (m - 1) + coeffs
         coeffs = list(accumulate(a - b for a, b in zip(coeffs + [0] * (m - 2), shifted)))
-    return HilbertPoly(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def hilbert_coeff(n: int, m: int, d: int) -> int:

@@ -285,14 +285,6 @@ def unit_ideal(n: int) -> MonIdeal:
 _UNITS = tuple(MonIdeal(n, ((0,) * n,)) for n in range(9))
 
 
-def zero_ideal(n: int) -> MonIdeal:
-    return MonIdeal(n, ())
-
-
-def principal_ideal(mono: ExpVec) -> MonIdeal:
-    return MonIdeal(len(mono), (tuple(mono),))
-
-
 def max_ideal_power(n: int, q: int) -> MonIdeal:
     """The q-th power of the maximal ideal: all degree-q exponent vectors."""
     if q < 0:
@@ -329,10 +321,9 @@ def var_names(n: int):
     return [f"z{i + 1}" for i in range(n)]
 
 
-def format_monomial(exp: ExpVec, names=None) -> str:
-    names = names or var_names(len(exp))
+def format_monomial(exp: ExpVec) -> str:
     parts = []
-    for name, e in zip(names, exp):
+    for name, e in zip(var_names(len(exp)), exp):
         if e == 1:
             parts.append(name)
         elif e > 1:

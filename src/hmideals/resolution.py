@@ -138,7 +138,7 @@ def max_weight_level(res: ResolutionData, alpha) -> int:
     return max(len(m & idx) for m in res.lattice) - 1
 
 
-def minimal_lc_center(res: ResolutionData, alpha=None) -> set:
+def minimal_lc_center(res: ResolutionData) -> set:
     """Deepest intersections of components computing the log canonical
     threshold; their images are the minimal log canonical centers.
 
@@ -147,10 +147,7 @@ def minimal_lc_center(res: ResolutionData, alpha=None) -> set:
     center and an error names the offending component.
     """
     threshold = lct(res)
-    if alpha is None:
-        alpha = -threshold
-    alpha = Fraction(alpha)
-    idx = integral_components(res, alpha)
+    idx = integral_components(res, -threshold)
     for i in sorted(idx):
         c = res.components[i]
         if Fraction(c.k + 1, c.e) != threshold:

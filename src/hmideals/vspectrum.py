@@ -165,19 +165,14 @@ class HMIdeal(Frozen):
     def to_json(self) -> dict:
         return {"f_power": self.f_power, "ideal": self.ideal.to_json()}
 
-    def __str__(self):
-        if self.f_power == 0:
-            return str(self.ideal)
-        return f"f^{self.f_power} * {self.ideal}"
 
-
-def spectrum_from_step(n: int, cutoff: Fraction, points, values, scale: int = 1) -> VSpectrum:
+def spectrum_from_step(n: int, cutoff: Fraction, points, values, scale: int) -> VSpectrum:
     """Assemble a spectrum from a sampled step function.
 
-    points are strictly increasing candidate jump locations in units of
-    1/scale (ints when scale > 1) and values[i] is the filtration value on
-    the interval ending at points[i] (values[0] on (0, points[0]], which
-    must be the unit ideal).  A candidate is a jump iff the next interval's
+    points are strictly increasing ints, candidate jump locations in units
+    of 1/scale, and values[i] is the filtration value on the interval
+    ending at points[i] (values[0] on (0, points[0]], which must be the
+    unit ideal).  A candidate is a jump iff the next interval's
     value differs; callers certify the last in-range candidate by supplying
     one extra point beyond the cutoff.  Non-jumps are dropped; each kept
     jump is points[i] / scale.
@@ -185,7 +180,7 @@ def spectrum_from_step(n: int, cutoff: Fraction, points, values, scale: int = 1)
     if values and values[0] != unit_ideal(n):
         raise ValueError("filtration must start at the unit ideal")
     # An int point is <= cutoff * scale iff it is <= the floor.
-    top = cutoff if scale == 1 else cutoff.numerator * scale // cutoff.denominator
+    top = cutoff.numerator * scale // cutoff.denominator
     end = min(bisect.bisect_right(points, top), len(points) - 1)
     return VSpectrum(n, cutoff, tuple([
         (Fraction(points[i], scale), values[i + 1])

@@ -116,7 +116,8 @@ def box_spectrum_diagonal(m_vec, cutoff):
     points = [w for w in achieved if w <= cutoff]
     points.append(min(w for w in achieved if w > cutoff))
     values = [MonIdeal(n, tuple(mu for w, mu in weighted if w >= beta)) for beta in points]
-    return spectrum_from_step(n, cutoff, points, values)
+    scale = math.lcm(*m_vec)  # every weight is a multiple of 1/scale
+    return spectrum_from_step(n, cutoff, [int(w * scale) for w in points], values, scale)
 
 
 def truncated_sumset(tables, top) -> list:
@@ -193,7 +194,8 @@ def split_thom_sebastiani(v1, v2, cutoff):
         if probe > (points[-1] if points else 0):
             points.append(probe)
     values = [value(p) for p in points]
-    return spectrum_from_step(n, cutoff, points, values)
+    scale = math.lcm(*(p.denominator for p in points))
+    return spectrum_from_step(n, cutoff, [int(p * scale) for p in points], values, scale)
 
 
 def pairwise_minimalize(gens):
@@ -331,10 +333,8 @@ def sum_fermat_cone(n, m, cutoff):
             total = total + (jacobian ** a) * MonIdeal(n, tuple(basis))
         return total
 
-    j_max = math.floor(m * cutoff)
-    points = [Fraction(j, m) for j in range(1, j_max + 2)]
-    values = [value(j) for j in range(1, j_max + 2)]
-    return spectrum_from_step(n, cutoff, points, values)
+    points = range(1, math.floor(m * cutoff) + 2)  # j/m, in units of 1/m
+    return spectrum_from_step(n, cutoff, points, [value(j) for j in points], m)
 
 
 def downward_close(maximal, n_comps):
@@ -356,13 +356,10 @@ def closure_weight_level(res, closure, alpha):
     return max(sizes, default=0) - 1
 
 
-def closure_lc_center(res, closure, alpha=None):
+def closure_lc_center(res, closure):
     """minimal_lc_center by a scan of the downward-closed lattice."""
     threshold = lct(res)
-    if alpha is None:
-        alpha = -threshold
-    alpha = Fraction(alpha)
-    idx = integral_components(res, alpha)
+    idx = integral_components(res, -threshold)
     for i in sorted(idx):
         c = res.components[i]
         if Fraction(c.k + 1, c.e) != threshold:

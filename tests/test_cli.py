@@ -97,6 +97,20 @@ class TestIdeal:
         )
         assert code == 0 and text == "f^59 * x^2, x*y*z, y^2, z^2\n"
 
+    @pytest.mark.parametrize("alpha", ["1/2", "0", "-1", "-3/2", "-5/2"])
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("klass, params", [
+        ("diagonal", "2,3,4"), ("power", "3"), ("fermat-cone", "3,3"), ("ts", "2,5"),
+    ])
+    def test_default_cutoff_answers(self, klass, params, k, alpha):
+        """The default cutoff k + 1 reaches every beta that hmi_twisted reads:
+        the output, plain and --json, is the one at cutoff k + 2."""
+        argv = ["ideal", "--class", klass, "--params", params, "--k", str(k), f"--alpha={alpha}"]
+        for extra in ([], ["--json"]):
+            default = invoke(*argv, *extra)
+            assert default[0] == 0
+            assert default == invoke(*argv, *extra, f"--cutoff={k + 2}")
+
     def test_twisted_power(self):
         code, text = invoke(
             "ideal", "--class", "power", "--params", "1", "--k", "0", "--alpha", "-2"

@@ -24,6 +24,7 @@ from hmideals import (
 )
 
 from hmideals.constructors import _staircases
+from hmideals.monomial import _minimalize
 
 from oracles import (
     box_spectrum_diagonal,
@@ -203,12 +204,14 @@ def _levels_case(draw):
 def test_walk_levels_are_the_truncated_sumset(case):
     """Each staircase walk finds the next level itself; the levels are those
     of the sumset scan the builder used before: the achieved weights up to
-    top, then the first one past it."""
+    top, then the first one past it.  Each walk's output is already the
+    minimal antichain in lex order, before MonIdeal minimalizes it."""
     m_vec, top = case
     tables = _weight_tables(m_vec, top)
     levels, staircases = _staircases(tables, top)
     assert levels == truncated_sumset(tables, top)
     assert len(staircases) == len(levels)
+    assert all(_minimalize(gens, len(m_vec)) == gens for gens in staircases)
 
 
 # Cutoffs relative to the cone's first jump n/m; n/m + 1 is a later jump.

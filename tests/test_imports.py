@@ -7,10 +7,15 @@ imports; they are deterministic, so a top-level import that would make every
 command load the whole library fails here.
 """
 
+import ast
+import collections
+import contextlib
 import importlib
+import io
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -104,3 +109,34 @@ def test_star_import_and_dir():
 def test_unknown_name_raises():
     with pytest.raises(AttributeError, match="nosuch"):
         hmideals.nosuch
+
+
+def _references(path):
+    """How often a source refers to each name, read as text: identifiers
+    other than the one a def, a class or a top-level assignment binds, and
+    string literals that spell an identifier (bench/tracing.py names the
+    functions it wraps that way)."""
+    counts = collections.Counter()
+    tokens = list(tokenize.generate_tokens(io.StringIO(path.read_text()).readline))
+    for before, token, after in zip([None, *tokens], tokens, [*tokens[1:], None]):
+        if token.type == tokenize.NAME:
+            binds = (before and before.string in ("def", "class")
+                     or token.start[1] == 0 and after.string == "=")
+            counts[token.string] += not binds
+        elif token.type == tokenize.STRING:
+            with contextlib.suppress(ValueError, SyntaxError):
+                value = ast.literal_eval(token.string)
+                if isinstance(value, str) and value.isidentifier():
+                    counts[value] += 1
+    return counts
+
+
+def test_every_export_has_a_user():
+    """Each exported name is used outside its own definition: by the
+    library, the benchmark, the scripts or the acceptance criteria (the
+    unit tests alone do not keep a name in the library)."""
+    sources = [*(ROOT / "src" / "hmideals").glob("*.py"), *(ROOT / "bench").glob("*.py"),
+               *(ROOT / "scripts").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    used = sum((_references(path) for path in sources if path.name != "__init__.py"),
+               collections.Counter())
+    assert [name for name in hmideals.__all__ if not used[name]] == []

@@ -15,11 +15,9 @@ from hmideals.monomial import (
     divides,
     format_monomial,
     max_ideal_power,
-    principal_ideal,
     squarefree_ideal,
     unit_ideal,
     var_names,
-    zero_ideal,
 )
 
 from oracles import packed_minimalize, packed_subset, pairwise_minimalize, pairwise_subset
@@ -54,7 +52,7 @@ class TestMembership:
         assert unit_ideal(2).contains((0, 0))
 
     def test_zero_contains_nothing(self):
-        assert not zero_ideal(2).contains((5, 5))
+        assert not I(2).contains((5, 5))
 
     def test_cusp_value_standard_monomials(self):
         # (x^2, x y, y^3): 1, x, y, y^2 are outside
@@ -113,7 +111,7 @@ class TestColength:
 
     def test_zero_variables(self):
         # the ring is the field: one monomial, 1
-        assert zero_ideal(0).colength() == 1
+        assert I(0).colength() == 1
         assert unit_ideal(0).colength() == 0
 
 
@@ -140,11 +138,11 @@ class TestCountOutside:
         assert I(2, (5, 0), (0, 1)).count_outside(I(2, (0, 1))) is INFINITE
 
     def test_zero_variables(self):
-        assert unit_ideal(0).count_outside(zero_ideal(0)) == 1
+        assert unit_ideal(0).count_outside(I(0)) == 1
         assert unit_ideal(0).count_outside(unit_ideal(0)) == 0
 
     def test_zero_outer(self):
-        assert zero_ideal(2).count_outside(zero_ideal(2)) == 0
+        assert I(2).count_outside(I(2)) == 0
 
     def test_not_contained_raises(self):
         with pytest.raises(ValueError):
@@ -187,7 +185,7 @@ class TestSerialization:
     def test_display(self):
         assert str(I(2, (2, 0), (1, 1), (0, 3))) == "(x^2, x*y, y^3)"
         assert str(unit_ideal(2)) == "(1)"
-        assert str(zero_ideal(2)) == "(0)"
+        assert str(I(2)) == "(0)"
 
     def test_format_monomial(self):
         assert format_monomial((0, 0)) == "1"
@@ -199,7 +197,10 @@ class TestSerialization:
 
 
 def test_principal_ideal():
-    assert principal_ideal((2, 3)) == I(2, (2, 3))
+    """A one-generator ideal holds exactly the multiples of its generator."""
+    a = I(2, (2, 3))
+    assert a.gens == ((2, 3),)
+    assert a.contains((2, 3)) and a.contains((4, 3)) and not a.contains((1, 9))
 
 
 @pytest.mark.parametrize("n", [3, 11])

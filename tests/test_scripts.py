@@ -4,6 +4,7 @@ is right on synthetic records."""
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -111,11 +112,12 @@ def test_bench_pairs_keeps_complete_pairs_when_stopped(monkeypatch, tmp_path):
     monkeypatch.setattr(module, "git", git)
     monkeypatch.setattr(module, "extract", lambda rev, dest: None)
     monkeypatch.setattr(module, "run_once", run_once)
-    monkeypatch.setattr(module.signal, "signal", lambda *args: None)
+    handler = signal.getsignal(signal.SIGTERM)
     with pytest.raises(SystemExit) as excinfo:
         module.main(["--workload", "spectra-build", "--seeds", "2026", "--pairs", "3",
                      "--parent", "HEAD~1"])
     assert excinfo.value.code == 143
+    assert signal.getsignal(signal.SIGTERM) is handler
     data = json.loads((tmp_path / "BENCH_spectra-build.json").read_text())
     assert data["parent"] == "p0"
     assert [(r["pair"], r["side"]) for r in data["records"]] == [(1, "parent"), (1, "change")]

@@ -14,7 +14,6 @@ import pytest
 
 from hmideals import (
     Component,
-    HilbertPoly,
     HMIdeal,
     MonIdeal,
     ResolutionData,
@@ -34,7 +33,6 @@ def _values():
         (lambda: VSpectrum(2, F(1), ((F(1, 2), MonIdeal(2, ((0, 1), (2, 0)))),)),
          f"VSpectrum(n=2, cutoff=Fraction(1, 1), jumps=((Fraction(1, 2), {ideal}),))"),
         (lambda: HMIdeal(1, MonIdeal(2, ((0, 1), (2, 0)))), f"HMIdeal(f_power=1, ideal={ideal})"),
-        (lambda: HilbertPoly((1, 2, 1)), "HilbertPoly(coeffs=(1, 2, 1))"),
         (lambda: StrataData(((2, 3), (3, 5))), "StrataData(strata=((2, 3), (3, 5)))"),
         (lambda: Component("E", 2, 1), "Component(label='E', e=2, k=1, exceptional=True)"),
         (lambda: ResolutionData((Component("D", 1, 0, exceptional=False),),

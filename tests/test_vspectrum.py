@@ -258,9 +258,9 @@ class TestDerived:
 
 class TestStepBuilder:
     def test_jump_detection(self):
-        pts = [F(1, 2), 1, F(3, 2), 2]
+        pts = [1, 2, 3, 4]  # 1/2, 1, 3/2, 2
         vals = [unit_ideal(1), unit_ideal(1), I(1, (1,)), I(1, (2,))]
-        v = spectrum_from_step(1, F(3, 2), pts, vals)
+        v = spectrum_from_step(1, F(3, 2), pts, vals, 2)
         assert v.jumping_numbers() == [1, F(3, 2)]
         assert v.value_at(F(5, 4)) == I(1, (1,))
 
@@ -268,26 +268,25 @@ class TestStepBuilder:
         # the point beyond the cutoff certifies (or refutes) a jump at it
         pts = [1, 2]
         vals = [unit_ideal(1), unit_ideal(1)]
-        v = spectrum_from_step(1, 1, pts, vals)
+        v = spectrum_from_step(1, 1, pts, vals, 1)
         assert v.jumping_numbers() == []
 
     @pytest.mark.parametrize("cutoff", [F(2), F(13, 6), F(11, 6)])
     def test_scaled_points(self, cutoff):
         """Int points in units of 1/scale give the spectrum that the same
-        points as Fractions give, with a candidate exactly at cutoff * scale
-        (13 at 13/6) and the certification point 17 past it."""
+        points in units of 1/(2 scale) give, with a candidate exactly at
+        cutoff * scale (13 at 13/6) and the certification point 17 past it."""
         cusp = spectrum_diagonal((2, 3), 3)
         ints = [5, 6, 7, 9, 11, 13, 17]  # the cusp's jumps to 17/6 and two non-jumps
-        fracs = [F(p, 6) for p in ints]
-        values = [cusp.value_at(beta) for beta in fracs]
+        values = [cusp.value_at(F(p, 6)) for p in ints]
         got = spectrum_from_step(2, cutoff, ints, values, 6)
-        assert got == spectrum_from_step(2, cutoff, fracs, values)
+        assert got == spectrum_from_step(2, cutoff, [2 * p for p in ints], values, 12)
         assert got == spectrum_diagonal((2, 3), cutoff)
         assert all(type(beta) is F for beta in got.jumping_numbers())
 
     def test_first_value_must_be_unit(self):
         with pytest.raises(ValueError):
-            spectrum_from_step(1, 1, [1, 2], [I(1, (1,)), I(1, (2,))])
+            spectrum_from_step(1, 1, [1, 2], [I(1, (1,)), I(1, (2,))], 1)
 
 
 class TestSerializationV:
