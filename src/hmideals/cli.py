@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import CutoffExceededError, HypothesisError
-from .rat import fmt_rat, parse_rat
+from .rat import fmt_rat, parse_int, parse_rat
 
 # Each class is a sum of powers: its --params form, least and most count.
 _CLASS_PARAMS = {
@@ -118,7 +118,7 @@ def cmd_hodge(args, out):
 
     n = args.ambient_dim + 1  # variable count of the cone
     if args.eigen is not None:
-        match = re.fullmatch(r"(\d+)/(\d+)", args.eigen)
+        match = re.fullmatch(r"(\d+)/(\d+)", args.eigen, re.ASCII)
         if not match or int(match.group(2)) != args.degree:
             raise ValueError("--eigen must be p/m with m the degree")
         value = hodge_cyclic_eigenspace(n, args.degree, args.level, int(match.group(1)))
@@ -149,8 +149,8 @@ def cmd_criteria(args, out):
     return 0
 
 
-_BUILTIN_RE = re.compile(r"(\w+)(?:\((\d*)\))?$")
-_STRATUM_RE = re.compile(r"\s*\d+\s*:\s*\d+\s*")
+_BUILTIN_RE = re.compile(r"(\w+)(?:\((\d*)\))?$", re.ASCII)
+_STRATUM_RE = re.compile(r"\s*\d+\s*:\s*\d+\s*", re.ASCII)
 
 
 def _load_resolution(args):
@@ -223,7 +223,7 @@ def _rat_arg(text):
 
 def _params_arg(text):
     try:
-        return [int(p) for p in text.split(",") if p.strip()]
+        return [parse_int(p) for p in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"want comma-separated integers, got {text!r}")
 

@@ -52,7 +52,7 @@ def spectrum_diagonal(m_vec, cutoff) -> VSpectrum:
     # The last level is the first achieved weight past the cutoff: it
     # certifies a jump sitting exactly at the cutoff.
     levels, staircases = _staircases(tables, top)
-    values = [MonIdeal(n, gens) for gens in staircases]
+    values = [MonIdeal._of_antichain(n, gens) for gens in staircases]
     return spectrum_from_step(n, cutoff, levels, values, scale)
 
 

@@ -65,6 +65,14 @@ class MonIdeal(Frozen):
     def __post_init__(self):
         object.__setattr__(self, "gens", _minimalize(self.gens, self.n))
 
+    @classmethod
+    def _of_antichain(cls, n: int, gens: tuple) -> "MonIdeal":
+        """The ideal of a minimal antichain in lex order, taken as it is."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gens", gens)
+        return self
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.n == other.n and self.gens == other.gens

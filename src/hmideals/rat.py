@@ -12,12 +12,19 @@ import math
 from fractions import Fraction
 
 
+def parse_int(text: str) -> int:
+    """int(text) for an optional sign and ASCII digits; int() also takes other digits and "_"."""
+    if not (text.isascii() and text.strip().lstrip("+-").isdigit()):
+        raise ValueError(f"want an integer, got {text!r}")
+    return int(text)
+
+
 def parse_rat(text: str) -> Fraction:
     """Parse "p/q" with q > 0, or an integer "p"."""
     text = text.strip()
     num, slash, den = text.partition("/")
     try:
-        p, q = int(num), int(den) if slash else 1
+        p, q = parse_int(num), parse_int(den) if slash else 1
     except ValueError:
         raise ValueError(f"want p/q or an integer, got {text!r}") from None
     if q <= 0:

@@ -256,7 +256,7 @@ class TestInputErrors:
         assert code == 2 and text == ""
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("strata", ["2", "2:3,3", "2:x", "2:3:4", "-2:3"])
+    @pytest.mark.parametrize("strata", ["2", "2:3,3", "2:x", "2:3:4", "-2:3", "٢:3"])
     def test_malformed_strata(self, tmp_path, capsys, strata):
         p = tmp_path / "res.json"
         p.write_text(json.dumps({"components": [{"label": "E", "e": 2, "k": 1}]}))
@@ -347,6 +347,42 @@ class TestInputErrors:
         code, text = invoke(*argv.split())
         assert code == 2 and text == ""
         self.assert_one_error_line(capsys)
+
+    # int() alone reads other scripts' digits ("٣" is an Arabic-Indic 3)
+    # and underscores, and an empty --params item used to be dropped.
+    @pytest.mark.parametrize("flag, value", [
+        ("--params", ",2"),
+        ("--params", "2,,3"),
+        ("--params", "2,3,"),
+        ("--params", ""),
+        ("--params", "٣"),
+        ("--params", "3_0"),
+        ("--params", "2,+-3"),
+        ("--cutoff", "٣"),
+        ("--cutoff", "3_0/7"),
+        ("--cutoff", "1/٢"),
+        ("--cutoff", "1/+-2"),
+    ])
+    def test_integers_are_ascii_digits(self, capsys, flag, value):
+        form = "p/q or an integer" if flag == "--cutoff" else "comma-separated integers"
+        code, text = invoke("spectrum", "--class", "diagonal", "--params=2,3", f"{flag}={value}")
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == f"error: argument {flag}: want {form}, got {value!r}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["hodge", "--ambient-dim", "4", "--degree", "5", "--level", "2", "--eigen", "٢/5"],
+         "--eigen must be p/m with m the degree"),
+        (["resolution", "--builtin", "secant(٣)", "lct"], "malformed builtin 'secant(٣)'"),
+    ])
+    def test_pattern_digits_are_ascii(self, capsys, argv, message):
+        code, text = invoke(*argv)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integers_keep_surrounding_spaces(self):
+        assert invoke("spectrum", "--class", "diagonal", "--params= 2, 3 ",
+                      "--cutoff= 13 / 6 ") == invoke("spectrum", "--class", "diagonal",
+                                                     "--params=2,3", "--cutoff=13/6")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

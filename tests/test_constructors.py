@@ -179,16 +179,18 @@ def _weight_tables(m_vec, top):
 
 @st.composite
 def _levels_case(draw):
-    """(m_vec, top): top = floor(cutoff * lcm(m_j)) for a cutoff up to 3 with
-    denominator <= 12, or the scaled weight of a drawn exponent vector (a
-    cutoff on a jump) when that is at most 3."""
-    m_vec = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    """(m_vec, top) with n from 1 to 6: top = floor(cutoff * lcm(m_j)) for a
+    cutoff with denominator <= 12, up to 3 (up to 2 for n >= 5, where the
+    levels grow fastest), or the scaled weight of a drawn exponent vector (a
+    cutoff on a jump) when that is at most the same bound."""
+    m_vec = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
     scale = math.lcm(*m_vec)
-    cutoff = draw(st.fractions(min_value=F(1, 12), max_value=3, max_denominator=12))
+    bound = 3 if len(m_vec) <= 4 else 2
+    cutoff = draw(st.fractions(min_value=F(1, 12), max_value=bound, max_denominator=12))
     top = math.floor(cutoff * scale)
     if draw(st.booleans()):
         jump = sum(_scaled_weight(m, draw(st.integers(0, m)), scale) for m in m_vec)
-        if jump <= 3 * scale:
+        if jump <= bound * scale:
             top = jump
     return tuple(m_vec), top
 
@@ -201,17 +203,56 @@ def _levels_case(draw):
 @example(((1, 1, 1), 3))  # the first jump is the cutoff
 @example(((6, 6, 6, 6), 4))
 @example(((6, 5, 4, 3), 180))
+@example(((6,) * 6, 12))  # (6,)*6 at 2: its certifying level has 702 generators
+@example(((2, 3, 5), 91))  # the spectra-build anchors, as top = cutoff * lcm(m_j)
+@example(((4, 4, 4), 11))
+@example(((3, 3, 3, 3), 10))
+@example(((4, 4, 4, 4), 12))  # the Fermat cone (4, 4) at 3
+@example(((5,) * 5, 15))
 def test_walk_levels_are_the_truncated_sumset(case):
     """Each staircase walk finds the next level itself; the levels are those
     of the sumset scan the builder used before: the achieved weights up to
     top, then the first one past it.  Each walk's output is already the
-    minimal antichain in lex order, before MonIdeal minimalizes it."""
+    minimal antichain in lex order, which spectrum_diagonal takes as its
+    level's generators without minimalizing them."""
     m_vec, top = case
     tables = _weight_tables(m_vec, top)
     levels, staircases = _staircases(tables, top)
     assert levels == truncated_sumset(tables, top)
     assert len(staircases) == len(levels)
     assert all(_minimalize(gens, len(m_vec)) == gens for gens in staircases)
+
+
+@st.composite
+def _diagonal_case(draw):
+    """(m_vec, cutoff) with n from 1 to 6: the weight of a drawn exponent
+    vector (a cutoff on a jump), at most the later jump e + 1 past the first
+    jump e, or half a step of 1/lcm(m_j) past it (a cutoff off every jump)."""
+    m_vec = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=6)))
+    scale = math.lcm(*m_vec)
+    jump = sum(_scaled_weight(m, draw(st.integers(0, m)), scale) for m in m_vec)
+    jump = min(F(jump, scale), _first_jump(m_vec) + 1)
+    return m_vec, jump if draw(st.booleans()) else jump + F(1, 2 * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_diagonal_case())
+@example(((2, 3), F(13, 6)))  # the spectra-build anchors
+@example(((2, 3, 5), F(91, 30)))
+@example(((4, 4, 4), F(11, 4)))
+@example(((3, 3, 3, 3), F(10, 3)))
+@example(((4, 4, 4, 4), F(3)))  # the Fermat cone (4, 4) at 3
+@example(((5,) * 5, F(3)))
+def test_diagonal_levels_are_minimal(case):
+    """spectrum_diagonal takes each walk's output as its level's generators
+    without minimalizing them (MonIdeal._of_antichain); minimalizing the
+    same generators in full is the second route and changes nothing."""
+    m_vec, cutoff = case
+    n = len(m_vec)
+    spect = spectrum_diagonal(m_vec, cutoff)
+    assert spect.jumps
+    for _, ideal in spect.jumps:
+        assert ideal == MonIdeal(n, ideal.gens)
 
 
 # Cutoffs relative to the cone's first jump n/m; n/m + 1 is a later jump.
