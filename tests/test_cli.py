@@ -349,7 +349,7 @@ class TestInputErrors:
         self.assert_one_error_line(capsys)
 
     # int() alone reads other scripts' digits ("٣" is an Arabic-Indic 3)
-    # and underscores, and an empty --params item used to be dropped.
+    # and underscores; an empty --params item is an error, not skipped.
     @pytest.mark.parametrize("flag, value", [
         ("--params", ",2"),
         ("--params", "2,,3"),
