@@ -277,7 +277,9 @@ class TestInputErrors:
         assert code == 2 and text == ""
         assert capsys.readouterr().err == "error: k must be >= 0\n"
 
-    @pytest.mark.parametrize("alpha", ["x", "1/x", "1/", "1/2/3"])
+    # int() alone reads other scripts' digits ("٣" is an Arabic-Indic 3)
+    # and underscores.
+    @pytest.mark.parametrize("alpha", ["x", "1/x", "1/", "1/2/3", "٣", "3_0/7", "1/٢", "1/+-2"])
     def test_non_numeric_alpha_names_the_form(self, capsys, alpha):
         code, text = invoke("criteria", "symbolic-power", "--codim", "3", "--m", "2",
                             "--level", "2", "--alpha", alpha)
@@ -348,26 +350,13 @@ class TestInputErrors:
         assert code == 2 and text == ""
         self.assert_one_error_line(capsys)
 
-    # int() alone reads other scripts' digits ("٣" is an Arabic-Indic 3)
-    # and underscores; an empty --params item is an error, not skipped.
-    @pytest.mark.parametrize("flag, value", [
-        ("--params", ",2"),
-        ("--params", "2,,3"),
-        ("--params", "2,3,"),
-        ("--params", ""),
-        ("--params", "٣"),
-        ("--params", "3_0"),
-        ("--params", "2,+-3"),
-        ("--cutoff", "٣"),
-        ("--cutoff", "3_0/7"),
-        ("--cutoff", "1/٢"),
-        ("--cutoff", "1/+-2"),
-    ])
-    def test_integers_are_ascii_digits(self, capsys, flag, value):
-        form = "p/q or an integer" if flag == "--cutoff" else "comma-separated integers"
-        code, text = invoke("spectrum", "--class", "diagonal", "--params=2,3", f"{flag}={value}")
+    # An empty item is an error, not skipped; the digits are ASCII only.
+    @pytest.mark.parametrize("params", [",2", "2,,3", "2,3,", "", "٣", "3_0", "2,+-3"])
+    def test_params_are_ascii_integers(self, capsys, params):
+        code, text = invoke("spectrum", "--class", "diagonal", f"--params={params}")
         assert code == 2 and text == ""
-        assert capsys.readouterr().err == f"error: argument {flag}: want {form}, got {value!r}\n"
+        assert capsys.readouterr().err == (
+            f"error: argument --params: want comma-separated integers, got {params!r}\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["hodge", "--ambient-dim", "4", "--degree", "5", "--level", "2", "--eigen", "٢/5"],
