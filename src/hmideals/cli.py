@@ -18,12 +18,12 @@ from . import __version__
 from .errors import CutoffExceededError, HypothesisError
 from .rat import fmt_rat, parse_int, parse_rat
 
-# Each class is a sum of powers: its --params form, least and most count.
+# Each class is a sum of powers: its --params form, least and most count, least value.
 _CLASS_PARAMS = {
-    "diagonal": ("m1,m2,...", 1, math.inf),
-    "fermat-cone": ("n,m", 2, 2),
-    "ts": ("m1,m2,...", 2, math.inf),
-    "power": ("m", 1, 1),
+    "diagonal": ("m1,m2,...", 1, math.inf, 1),
+    "fermat-cone": ("n,m", 2, 2, 2),
+    "ts": ("m1,m2,...", 2, math.inf, 1),
+    "power": ("m", 1, 1, 1),
 }
 
 
@@ -32,9 +32,9 @@ def _exponents(klass: str, params) -> tuple:
     diagonal and ts list them, power m is (m,), fermat-cone n,m is (m,) * n."""
     if klass not in _CLASS_PARAMS:
         raise ValueError(f"unknown spectrum class {klass!r}")
-    form, least, most = _CLASS_PARAMS[klass]
-    if not least <= len(params) <= most or any(p < 1 for p in params):
-        raise ValueError(f"--class {klass} takes --params {form}, each >= 1")
+    form, least, most, floor = _CLASS_PARAMS[klass]
+    if not least <= len(params) <= most or any(p < floor for p in params):
+        raise ValueError(f"--class {klass} takes --params {form}, each >= {floor}")
     return (params[1],) * params[0] if klass == "fermat-cone" else tuple(params)
 
 
@@ -43,14 +43,12 @@ def build_spectrum(klass: str, params, cutoff=None):
 
     Default cutoff is the first jump plus 3.
     """
-    from .constructors import spectrum_diagonal, spectrum_ordinary_fermat
+    from .constructors import spectrum_diagonal
 
     m_vec = _exponents(klass, params)
     if cutoff is None:
         cutoff = sum(Fraction(1, m) for m in m_vec) + 3  # the first jump, sum 1/m_j
-    if klass == "fermat-cone":
-        return spectrum_ordinary_fermat(*params, cutoff)
-    # diagonal, power and ts: a Thom-Sebastiani sum of powers is diagonal
+    # every class, a Thom-Sebastiani sum of powers too, is a diagonal divisor
     return spectrum_diagonal(m_vec, cutoff)
 
 
@@ -214,6 +212,13 @@ def cmd_bs_classes(args, out):
     return 0
 
 
+def _int_arg(text):
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _rat_arg(text):
     try:
         return parse_rat(text)
@@ -262,6 +267,12 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    int_help = {"ambient-dim": "projective dimension of the ambient space"}
+
+    def int_flags(p, *names):
+        for name in names:
+            p.add_argument(f"--{name}", type=_int_arg, required=True, help=int_help.get(name))
+
     def spectrum_flags(p):
         p.add_argument("--class", dest="klass", required=True,
                        choices=list(_CLASS_PARAMS))
@@ -277,44 +288,28 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ideal", help="one two-index ideal, with f-power twist")
     spectrum_flags(p)
-    p.add_argument("--k", type=int, required=True)
+    int_flags(p, "k")
     p.add_argument("--alpha", type=_rat_arg, required=True, help='rational "p/q", e.g. -1/2')
     p.set_defaults(func=cmd_ideal)
 
     p = sub.add_parser("gdim", help="graded-piece dimension at an ordinary point")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    int_flags(p, "n", "m", "k")
     p.add_argument("--alpha", type=_rat_arg, required=True)
     p.set_defaults(func=cmd_gdim)
 
     p = sub.add_parser("hodge", help="primitive Hodge numbers via the residue grading")
-    p.add_argument("--ambient-dim", type=int, required=True,
-                   help="projective dimension of the ambient space")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
+    int_flags(p, "ambient-dim", "degree", "level")
     p.add_argument("--eigen", default=None, help="p/m for the cyclic-cover eigenspace")
     p.set_defaults(func=cmd_hodge)
 
     p = sub.add_parser("criteria", help="numerical criteria arithmetic")
     which = p.add_subparsers(dest="which", required=True)
-    q = which.add_parser("nontriviality")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q = which.add_parser("symbolic-power")
-    q.add_argument("--codim", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--level", type=int, required=True)
-    q.add_argument("--alpha", type=_rat_arg, required=True)
-    q = which.add_parser("threshold")
-    q.add_argument("--codim", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q = which.add_parser("indep-conditions")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    for q in which.choices.values():
+    for name, flags in (("nontriviality", "n d m"), ("symbolic-power", "codim m level"),
+                        ("threshold", "codim m"), ("indep-conditions", "n m d")):
+        q = which.add_parser(name)
+        int_flags(q, *flags.split())
+        if name == "symbolic-power":
+            q.add_argument("--alpha", type=_rat_arg, required=True)
         q.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_criteria)
 

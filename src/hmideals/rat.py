@@ -14,7 +14,10 @@ from fractions import Fraction
 
 def parse_int(text: str) -> int:
     """int(text) for an optional sign and ASCII digits; int() also takes other digits and "_"."""
-    if not (text.isascii() and text.strip().lstrip("+-").isdigit()):
+    digits = text.strip(" \t\n\r\f\v")  # what int() strips; str.strip() also drops \x1c-\x1f
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (text.isascii() and digits.isdigit()):
         raise ValueError(f"want an integer, got {text!r}")
     return int(text)
 

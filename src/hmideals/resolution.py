@@ -161,7 +161,7 @@ def minimal_lc_center(res: ResolutionData) -> set:
     return {c for c in cuts if len(c) == depth} if depth else set()
 
 
-def weighted_nc_local(m_vec, alpha, ell: int) -> MonIdeal:
+def weighted_nc_local(m_vec, alpha, ell: int):
     """Weight-ell piece of the level-0 ideal in the local monomial model.
 
     Multiplies the level-0 normal-crossing ideal by the ideal of the

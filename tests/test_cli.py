@@ -1,5 +1,6 @@
 """Exit codes and output of the command-line front end."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -14,12 +15,37 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hmideals.cli import run
+from hmideals.cli import _int_arg, make_parser, run
 from test_traced_names import bench_literal
 
 ROOT = Path(__file__).resolve().parents[1]
 RECORDED = json.loads((ROOT / "bench" / "cli_expected.json").read_text())
 CHAIN = bench_literal("workloads.py", "CLI_FILES")["chain.json"]  # the --file row's input
+
+
+# Each command that reads integer flags, its other arguments, and a valid
+# value of each integer flag.
+INTEGER_FLAGS = {
+    "ideal": {"k": 1},
+    "gdim": {"n": 3, "m": 3, "k": 1},
+    "hodge": {"ambient-dim": 4, "degree": 5, "level": 2},
+    "criteria nontriviality": {"n": 5, "d": 1, "m": 2},
+    "criteria symbolic-power": {"codim": 3, "m": 2, "level": 2},
+    "criteria threshold": {"codim": 3, "m": 2},
+    "criteria indep-conditions": {"n": 4, "m": 3, "d": 2},
+}
+INTEGER_FLAG_CASES = [(command, flag) for command, flags in INTEGER_FLAGS.items()
+                      for flag in flags]
+_OTHER_ARGS = {"ideal": ["--class=diagonal", "--params=2,3", "--alpha=-1/2"],
+               "gdim": ["--alpha=0"], "criteria symbolic-power": ["--alpha=-1/2"]}
+
+
+def integer_argv(command, values):
+    """command's argv, each integer flag given its valid value unless values
+    names another."""
+    flags = INTEGER_FLAGS[command]
+    return [*command.split(), *_OTHER_ARGS.get(command, []),
+            *(f"--{f}={values.get(f, v)}" for f, v in flags.items())]
 
 
 def invoke(*argv):
@@ -358,6 +384,16 @@ class TestInputErrors:
         assert capsys.readouterr().err == (
             f"error: argument --params: want comma-separated integers, got {params!r}\n")
 
+    # int() alone also reads "1_0", other scripts' digits and a run of signs;
+    # "\x1c" is a separator that str.strip() drops and int() refuses.
+    @pytest.mark.parametrize("value", ["1_0", "٣", "", "+-3", "--3", "++3", "\x1c3"])
+    @pytest.mark.parametrize("command, flag", INTEGER_FLAG_CASES)
+    def test_integer_flags_are_ascii_integers(self, capsys, command, flag, value):
+        code, text = invoke(*integer_argv(command, {flag: value}))
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            f"error: argument --{flag}: want an integer, got {value!r}\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["hodge", "--ambient-dim", "4", "--degree", "5", "--level", "2", "--eigen", "٢/5"],
          "--eigen must be p/m with m the degree"),
@@ -372,6 +408,37 @@ class TestInputErrors:
         assert invoke("spectrum", "--class", "diagonal", "--params= 2, 3 ",
                       "--cutoff= 13 / 6 ") == invoke("spectrum", "--class", "diagonal",
                                                      "--params=2,3", "--cutoff=13/6")
+
+    @pytest.mark.parametrize("command", INTEGER_FLAGS)
+    def test_integer_flags_keep_surrounding_spaces_and_sign(self, command):
+        flags = INTEGER_FLAGS[command]
+        padded = invoke(*integer_argv(command, {f: f" +{v} " for f, v in flags.items()}))
+        assert padded == invoke(*integer_argv(command, {})) and padded[0] == 0
+
+    def test_fermat_cone_bound(self, capsys):
+        code, text = invoke("spectrum", "--class", "fermat-cone", "--params", "1,3")
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            "error: --class fermat-cone takes --params n,m, each >= 2\n")
+
+
+def _parsers(parser):
+    """parser and every subparser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_integer_flags_have_one_grammar():
+    """No flag reads int() directly, and the integer flags are exactly those
+    INTEGER_FLAGS lists, each through parse_int."""
+    actions = [(p.prog, a) for p in _parsers(make_parser()) for a in p._actions]
+    assert not [a.dest for _, a in actions if a.type is int]
+    typed = sorted((prog.removeprefix("hmideals "), a.option_strings[0][2:])
+                   for prog, a in actions if a.type is _int_arg)
+    assert typed == sorted(INTEGER_FLAG_CASES) and len(typed) == 18
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -11,11 +11,13 @@ import ast
 import collections
 import contextlib
 import importlib
+import inspect
 import io
 import os
 import subprocess
 import sys
 import tokenize
+import typing
 from pathlib import Path
 
 import pytest
@@ -140,3 +142,28 @@ def test_every_export_has_a_user():
     used = sum((_references(path) for path in sources if path.name != "__init__.py"),
                collections.Counter())
     assert [name for name in hmideals.__all__ if not used[name]] == []
+
+
+def _callables(module):
+    """The functions and methods module defines, properties' getters included."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            for member in vars(obj).values():
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(member):
+                    yield member
+
+
+@pytest.mark.parametrize("module", sorted(hmideals._EXPORTS))
+def test_type_hints_resolve(module):
+    """Every annotation names something its module can see at run time, so
+    typing.get_type_hints works on each function and method."""
+    home = importlib.import_module(f"hmideals.{module}")
+    found = list(_callables(home))
+    assert found
+    for func in found:
+        typing.get_type_hints(func)

@@ -1,5 +1,5 @@
 """The runnable demos in scripts/ finish cleanly; the benchmark-pair summary
-is right on synthetic records."""
+is right on synthetic records; the mutant table still matches the code."""
 
 import importlib.util
 import json
@@ -26,11 +26,15 @@ def test_demo_runs(script):
     assert proc.stdout
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_pairs():
+    return _script("bench_pairs")
 
 
 def test_bench_pairs_summary():
@@ -126,3 +130,26 @@ def test_bench_pairs_keeps_complete_pairs_when_stopped(monkeypatch, tmp_path):
     assert entry["throughput_ops_per_s"] == {
         "parent_median": 101.0, "parent_quartiles": [101.0, 101.0],
         "change_median": 102.0, "change_quartiles": [102.0, 102.0], "change_wins": "1/1"}
+
+
+def test_mutant_rows_match_once():
+    """Each mutant's text occurs exactly once in its file, so a change that
+    moves the code updates the row; the rows' names are distinct and their
+    test files exist.  The mutants themselves run only in scripts/mutants.py."""
+    rows = _script("mutants").MUTANTS
+    assert len({row.name for row in rows}) == len(rows) >= 10
+    for row in rows:
+        assert (ROOT / row.path).read_text().count(row.old) == 1, row.name
+        assert row.new != row.old and row.tests, row.name
+        assert all((ROOT / test).is_file() for test in row.tests), row.name
+
+
+def test_mutant_apply(tmp_path):
+    """A row's edit is made only where its text occurs once."""
+    module = _script("mutants")
+    row = module.Mutant("m", "f.py", "a < b", "a <= b", ["tests/test_cli.py"])
+    (tmp_path / "f.py").write_text("x = a < b\n")
+    module.apply(row, tmp_path)
+    assert (tmp_path / "f.py").read_text() == "x = a <= b\n"
+    with pytest.raises(ValueError, match="occurs 0 times"):
+        module.apply(row, tmp_path)

@@ -56,6 +56,20 @@ class TestInvariants:
         with pytest.raises(ValueError):
             VSpectrum(1, 3, ((1, I(1, (2,))), (2, I(1, (1,)))))
 
+    def test_equal_jumps_rejected(self):
+        with pytest.raises(ValueError, match="out of order"):
+            VSpectrum(1, 3, ((1, I(1, (1,))), (1, I(1, (2,)))))
+
+    def test_repeated_value_rejected(self):
+        with pytest.raises(ValueError, match="strictly descend"):
+            VSpectrum(1, 3, ((1, I(1, (1,))), (2, I(1, (1,)))))
+        with pytest.raises(ValueError, match="strictly descend"):
+            VSpectrum(1, 3, ((1, unit_ideal(1)),))
+
+    def test_cutoff_must_be_positive(self):
+        with pytest.raises(ValueError, match="cutoff must be positive"):
+            VSpectrum(1, F(0))
+
     def test_jump_beyond_cutoff_rejected(self):
         with pytest.raises(ValueError):
             VSpectrum(1, 1, ((2, I(1, (1,))),))
@@ -271,11 +285,13 @@ class TestStepBuilder:
         v = spectrum_from_step(1, 1, pts, vals, 1)
         assert v.jumping_numbers() == []
 
-    @pytest.mark.parametrize("cutoff", [F(2), F(13, 6), F(11, 6)])
+    @pytest.mark.parametrize("cutoff", [F(2), F(13, 6), F(11, 6), F(7, 4)])
     def test_scaled_points(self, cutoff):
         """Int points in units of 1/scale give the spectrum that the same
         points in units of 1/(2 scale) give, with a candidate exactly at
-        cutoff * scale (13 at 13/6) and the certification point 17 past it."""
+        cutoff * scale (13 at 13/6) and the certification point 17 past it;
+        at 7/4 (10.5 in units of 1/6) the jump 11/6 is past the cutoff, and
+        13 and 17 are past it too."""
         cusp = spectrum_diagonal((2, 3), 3)
         ints = [5, 6, 7, 9, 11, 13, 17]  # the cusp's jumps to 17/6 and two non-jumps
         values = [cusp.value_at(F(p, 6)) for p in ints]
