@@ -24,7 +24,6 @@ def parse_int(text: str) -> int:
 
 def parse_rat(text: str) -> Fraction:
     """Parse "p/q" with q > 0, or an integer "p"."""
-    text = text.strip()
     num, slash, den = text.partition("/")
     try:
         p, q = parse_int(num), parse_int(den) if slash else 1

@@ -304,8 +304,9 @@ class TestInputErrors:
         assert capsys.readouterr().err == "error: k must be >= 0\n"
 
     # int() alone reads other scripts' digits ("٣" is an Arabic-Indic 3)
-    # and underscores.
-    @pytest.mark.parametrize("alpha", ["x", "1/x", "1/", "1/2/3", "٣", "3_0/7", "1/٢", "1/+-2"])
+    # and underscores; str.strip() also drops "\x1c" and non-ASCII spaces.
+    @pytest.mark.parametrize("alpha", ["x", "1/x", "1/", "1/2/3", "٣", "3_0/7", "1/٢", "1/+-2",
+                                       "\x1c0", "\u00a01/2"])
     def test_non_numeric_alpha_names_the_form(self, capsys, alpha):
         code, text = invoke("criteria", "symbolic-power", "--codim", "3", "--m", "2",
                             "--level", "2", "--alpha", alpha)
