@@ -100,6 +100,13 @@ MUTANTS = [
            "points.update(lo1 + lo2 for lo2 in starts2[:k])",
            "points.update(lo1 + lo2 for lo2 in starts2[1:k])",
            ["tests/test_constructors.py", "tests/test_properties.py"]),
+    # builtin families: each strata rule ends at the last qualifying m
+    Mutant("hyperelliptic-strata-end", "src/hmideals/resolution.py",
+           "range(2, (g + 3) // 2)", "range(2, (g + 1) // 2)",
+           ["tests/test_resolution.py"]),
+    Mutant("bn-strata-end", "src/hmideals/resolution.py",
+           "math.isqrt(g) + 1", "math.isqrt(g)",
+           ["tests/test_resolution.py"]),
 ]
 
 

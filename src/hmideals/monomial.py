@@ -19,6 +19,7 @@ from operator import add, itemgetter, le
 
 from .errors import DimensionError
 from .frozen import Frozen
+from .rat import json_int
 
 ExpVec = tuple
 
@@ -189,7 +190,8 @@ class MonIdeal(Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "MonIdeal":
-        return cls(int(data["n"]), tuple(tuple(int(x) for x in g) for g in data["gens"]))
+        gens = tuple(tuple(json_int(x, "a 'gens' entry") for x in g) for g in data["gens"])
+        return cls(json_int(data["n"], "'n'"), gens)
 
     def __str__(self):
         if self.is_zero():

@@ -22,6 +22,25 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+def is_int(value) -> bool:
+    """True for an int that is not a bool: what a JSON integer loads as."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_int(value, field: str) -> int:
+    """value when it is an integer; otherwise a ValueError naming field."""
+    if not is_int(value):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def json_rat(value, field: str) -> Fraction:
+    """parse_rat(value) when value is a string; otherwise a ValueError naming field."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string p/q, got {value!r}")
+    return parse_rat(value)
+
+
 def parse_rat(text: str) -> Fraction:
     """Parse "p/q" with q > 0, or an integer "p"."""
     num, slash, den = text.partition("/")

@@ -11,11 +11,13 @@ examples.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import HypothesisError
 from .frozen import Frozen
 from .graded import StrataData, min_exponent_upper
+from .rat import is_int, json_int
 
 
 class Component(Frozen):
@@ -75,12 +77,13 @@ class ResolutionData(Frozen):
         if not all(isinstance(c.get("exceptional", True), bool) for c in components):
             raise ValueError("component 'exceptional' must be true or false")
         comps = tuple(
-            Component(c["label"], _json_int(c, "e"), _json_int(c, "k"), c.get("exceptional", True))
+            Component(c["label"], json_int(c["e"], "component 'e'"),
+                      json_int(c["k"], "component 'k'"), c.get("exceptional", True))
             for c in components
         )
         maxints = data.get("maximal_intersections", [])
         if not isinstance(maxints, list) or not all(
-            isinstance(j, list) and all(_is_int(i) for i in j) for j in maxints
+            isinstance(j, list) and all(map(is_int, j)) for j in maxints
         ):
             raise ValueError("'maximal_intersections' must be a list of lists of indices")
         return cls.build(comps, [tuple(j) for j in maxints] or None)
@@ -89,17 +92,6 @@ class ResolutionData(Frozen):
     def load(cls, path) -> "ResolutionData":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _json_int(component: dict, key: str) -> int:
-    value = component[key]
-    if not _is_int(value):
-        raise ValueError(f"component {key!r} must be an integer, got {value!r}")
-    return value
 
 
 def lct(res: ResolutionData) -> Fraction:
@@ -197,50 +189,34 @@ def _chain_resolution(strata: StrataData):
     return ResolutionData.build(comps)
 
 
-_FAMILY_FORMS = {
-    "hyperelliptic_theta": "hyperelliptic_theta(g)",
-    "bn_general_theta": "bn_general_theta(g)",
-    "determinantal": "determinantal(n)",
-    "secant": "secant(n)",
-    "cubic_threefold": "cubic_threefold",
+# name: (written form, parameter wording, least parameter, strata rule
+# parameter -> [(m, codim), ...] over the qualifying m, expected exponent)
+_FAMILIES = {
+    "hyperelliptic_theta": ("hyperelliptic_theta(g)", "genus g", 3,
+                            lambda g: [(m, 2 * m - 1) for m in range(2, (g + 3) // 2)],
+                            Fraction(3, 2)),
+    "bn_general_theta": ("bn_general_theta(g)", "genus g", 4,
+                         lambda g: [(m, m * m) for m in range(2, math.isqrt(g) + 1)],
+                         Fraction(2)),
+    "determinantal": ("determinantal(n)", "matrix size n", 2,
+                      lambda n: [(m, m * m) for m in range(2, n + 1)], Fraction(2)),
+    "secant": ("secant(n)", "n", 1,
+               lambda n: [(m, 2 * m - 1) for m in range(2, n + 2)], Fraction(3, 2)),
+    "cubic_threefold": ("cubic_threefold", None, None, lambda: [(3, 5)], Fraction(5, 3)),
 }
 
 
 def builtin_family(name: str, *params) -> dict:
     """Stratum and resolution data for the named divisor family, written as
-    in _FAMILY_FORMS: one integer parameter or none."""
-    form = _FAMILY_FORMS.get(name)
-    if form is None:
-        raise ValueError(f"unknown family {name!r}")
+    in _FAMILIES: one integer parameter or none."""
+    if name not in _FAMILIES:
+        known = ", ".join(sorted(row[0] for row in _FAMILIES.values()))
+        raise ValueError(f"unknown family {name!r}; known: {known}")
+    form, wording, least, rule, expected = _FAMILIES[name]
     if len(params) != ("(" in form):
         raise ValueError(f"family {name!r} is written {form}")
-    if name == "hyperelliptic_theta":
-        (g,) = params
-        if g < 3:
-            raise ValueError("need genus g >= 3")
-        pairs = [(m, 2 * m - 1) for m in range(2, g + 2) if 2 * m - 1 <= g]
-        expected = Fraction(3, 2)
-    elif name == "bn_general_theta":
-        (g,) = params
-        if g < 4:
-            raise ValueError("need genus g >= 4")
-        pairs = [(m, m * m) for m in range(2, g + 2) if m * m <= g]
-        expected = Fraction(2)
-    elif name == "determinantal":
-        (n,) = params
-        if n < 2:
-            raise ValueError("need matrix size n >= 2")
-        pairs = [(m, m * m) for m in range(2, n + 1)]
-        expected = Fraction(2)
-    elif name == "secant":
-        (n,) = params
-        if n < 1:
-            raise ValueError("need n >= 1")
-        pairs = [(m, 2 * m - 1) for m in range(2, n + 2)]
-        expected = Fraction(3, 2)
-    else:  # cubic_threefold
-        pairs = [(3, 5)]
-        expected = Fraction(5, 3)
-    strata = StrataData(tuple(pairs))
+    if params and params[0] < least:
+        raise ValueError(f"need {wording} >= {least}")
+    strata = StrataData(tuple(rule(*params)))
     return {"strata": strata, "resolution": _chain_resolution(strata),
             "expected_min_exponent": expected}

@@ -19,7 +19,7 @@ from operator import itemgetter
 from .errors import CutoffExceededError
 from .frozen import Frozen
 from .monomial import MonIdeal, unit_ideal
-from .rat import fmt_rat, parse_rat
+from .rat import fmt_rat, json_int, json_rat
 
 
 class VSpectrum(Frozen):
@@ -144,10 +144,10 @@ class VSpectrum(Frozen):
     @classmethod
     def from_json(cls, data: dict) -> "VSpectrum":
         return cls(
-            int(data["n"]),
-            parse_rat(data["cutoff"]),
+            json_int(data["n"], "'n'"),
+            json_rat(data["cutoff"], "'cutoff'"),
             tuple(
-                (parse_rat(j["beta"]), MonIdeal.from_json(j["ideal"]))
+                (json_rat(j["beta"], "'beta'"), MonIdeal.from_json(j["ideal"]))
                 for j in data["jumps"]
             ),
         )

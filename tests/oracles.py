@@ -14,8 +14,9 @@ import math
 from fractions import Fraction
 
 from hmideals.errors import CutoffExceededError, HypothesisError
+from hmideals.graded import StrataData
 from hmideals.monomial import INFINITE, MonIdeal, divides, unit_ideal
-from hmideals.resolution import integral_components, lct
+from hmideals.resolution import _chain_resolution, integral_components, lct
 from hmideals.vspectrum import spectrum_from_step
 
 
@@ -372,3 +373,52 @@ def closure_lc_center(res, closure):
         return set()
     depth = max(len(j) for j in candidates)
     return {frozenset(j) for j in candidates if len(j) == depth}
+
+
+_CHAIN_FAMILY_FORMS = {
+    "hyperelliptic_theta": "hyperelliptic_theta(g)",
+    "bn_general_theta": "bn_general_theta(g)",
+    "determinantal": "determinantal(n)",
+    "secant": "secant(n)",
+    "cubic_threefold": "cubic_threefold",
+}
+
+
+def chain_builtin_family(name, *params):
+    """builtin_family as one if/elif branch per family, each scanning every
+    m up to the parameter (the form the library used before its table)."""
+    form = _CHAIN_FAMILY_FORMS.get(name)
+    if form is None:
+        raise ValueError(f"unknown family {name!r}")
+    if len(params) != ("(" in form):
+        raise ValueError(f"family {name!r} is written {form}")
+    if name == "hyperelliptic_theta":
+        (g,) = params
+        if g < 3:
+            raise ValueError("need genus g >= 3")
+        pairs = [(m, 2 * m - 1) for m in range(2, g + 2) if 2 * m - 1 <= g]
+        expected = Fraction(3, 2)
+    elif name == "bn_general_theta":
+        (g,) = params
+        if g < 4:
+            raise ValueError("need genus g >= 4")
+        pairs = [(m, m * m) for m in range(2, g + 2) if m * m <= g]
+        expected = Fraction(2)
+    elif name == "determinantal":
+        (n,) = params
+        if n < 2:
+            raise ValueError("need matrix size n >= 2")
+        pairs = [(m, m * m) for m in range(2, n + 1)]
+        expected = Fraction(2)
+    elif name == "secant":
+        (n,) = params
+        if n < 1:
+            raise ValueError("need n >= 1")
+        pairs = [(m, 2 * m - 1) for m in range(2, n + 2)]
+        expected = Fraction(3, 2)
+    else:  # cubic_threefold
+        pairs = [(3, 5)]
+        expected = Fraction(5, 3)
+    strata = StrataData(tuple(pairs))
+    return {"strata": strata, "resolution": _chain_resolution(strata),
+            "expected_min_exponent": expected}

@@ -182,6 +182,16 @@ class TestSerialization:
         blob = json.dumps(a.to_json())
         assert MonIdeal.from_json(json.loads(blob)) == a
 
+    @pytest.mark.parametrize("data, field", [
+        ({"n": 2, "gens": [[1.9, 0], [0, 1]]}, "'gens' entry"),
+        ({"n": 2, "gens": [[1, 0], [0, True]]}, "'gens' entry"),
+        ({"n": 2.7, "gens": [[1, 0]]}, "'n'"),
+        ({"n": "2", "gens": [[1, 0]]}, "'n'"),
+    ], ids=["float-exponent", "bool-exponent", "float-n", "string-n"])
+    def test_non_integer_rejected(self, data, field):
+        with pytest.raises(ValueError, match=field):
+            MonIdeal.from_json(data)
+
     def test_display(self):
         assert str(I(2, (2, 0), (1, 1), (0, 3))) == "(x^2, x*y, y^3)"
         assert str(unit_ideal(2)) == "(1)"

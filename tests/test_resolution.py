@@ -23,7 +23,12 @@ from hmideals import (
     nc_ideal,
     weighted_nc_local,
 )
-from oracles import closure_lc_center, closure_weight_level, downward_close
+from oracles import (
+    chain_builtin_family,
+    closure_lc_center,
+    closure_weight_level,
+    downward_close,
+)
 
 
 def I(n, *gens):
@@ -238,8 +243,41 @@ class TestBuiltinFamilies:
         assert lct(fam["resolution"]) == 1
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
+        known = ("bn_general_theta(g), cubic_threefold, determinantal(n), "
+                 "hyperelliptic_theta(g), secant(n)")
+        with pytest.raises(ValueError) as info:
             builtin_family("elliptic_fibration")
+        assert str(info.value) == f"unknown family 'elliptic_fibration'; known: {known}"
+
+    @pytest.mark.parametrize("name, param, strata", [
+        ("hyperelliptic_theta", 9, ((2, 3), (3, 5), (4, 7), (5, 9))),
+        ("bn_general_theta", 16, ((2, 4), (3, 9), (4, 16))),
+        ("bn_general_theta", 17, ((2, 4), (3, 9), (4, 16))),
+    ])
+    def test_strata_pinned(self, name, param, strata):
+        assert builtin_family(name, param)["strata"] == StrataData(strata)
+
+    def test_strata_follow_the_answer(self):
+        # 9,999 strata, m = 2..10^4, drawn without a scan up to g
+        strata = builtin_family("bn_general_theta", 10**8)["strata"].strata
+        assert strata[0] == (2, 4) and strata[-1] == (10**4, 10**8) and len(strata) == 9999
+
+    def test_table_matches_chain_oracle(self):
+        calls = [(name, p) for name in ("hyperelliptic_theta", "bn_general_theta",
+                                        "determinantal", "secant") for p in range(-2, 301)]
+        calls += [(name,) for name in ("hyperelliptic_theta", "secant", "cubic_threefold")]
+        calls += [("cubic_threefold", 3), ("determinantal", 3, 3)]
+        for call in calls:
+            assert _family_outcome(builtin_family, call) == \
+                _family_outcome(chain_builtin_family, call), call
+
+
+def _family_outcome(route, call):
+    """The route's dict, or the ValueError it raises, by message."""
+    try:
+        return route(*call)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
 
     def test_small_genus_rejected(self):
         with pytest.raises(ValueError):

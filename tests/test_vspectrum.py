@@ -311,6 +311,18 @@ class TestSerializationV:
         back = VSpectrum.from_json(json.loads(blob))
         assert back == cusp
 
+    @pytest.mark.parametrize("change, field", [
+        ({"n": 2.7}, "'n'"),
+        ({"n": True}, "'n'"),
+        ({"cutoff": 1}, "'cutoff'"),
+        ({"jumps": [{"beta": 1, "ideal": {"n": 2, "gens": [[1, 0], [0, 1]]}}]}, "'beta'"),
+        ({"jumps": [{"beta": "1", "ideal": {"n": 2, "gens": [[1.9, 0], [0, 1]]}}]},
+         "'gens' entry"),
+    ], ids=["float-n", "bool-n", "numeric-cutoff", "numeric-beta", "float-exponent"])
+    def test_malformed_field_rejected(self, cusp, change, field):
+        with pytest.raises(ValueError, match=field):
+            VSpectrum.from_json({**cusp.to_json(), **change})
+
     def test_rationals_as_strings(self, cusp):
         data = cusp.to_json()
         assert data["cutoff"] == "13/6"
