@@ -220,6 +220,14 @@ class TestSerialization:
             Component("E", 0, 0)
 
 
+def _family_outcome(route, call):
+    """The route's dict, or the ValueError it raises, by message."""
+    try:
+        return route(*call)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
 class TestBuiltinFamilies:
     def test_hyperelliptic(self):
         for g in range(3, 10):
@@ -270,14 +278,10 @@ class TestBuiltinFamilies:
         for call in calls:
             assert _family_outcome(builtin_family, call) == \
                 _family_outcome(chain_builtin_family, call), call
-
-
-def _family_outcome(route, call):
-    """The route's dict, or the ValueError it raises, by message."""
-    try:
-        return route(*call)
-    except ValueError as exc:
-        return ("ValueError", str(exc))
+        # the one intended difference: the unknown-family text lists the table
+        new, old = (_family_outcome(route, ("nosuch", 3))
+                    for route in (builtin_family, chain_builtin_family))
+        assert new[1].startswith(old[1] + "; known: ")
 
     def test_small_genus_rejected(self):
         with pytest.raises(ValueError):
