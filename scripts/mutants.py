@@ -73,6 +73,13 @@ MUTANTS = [
            "if any(nu[j] == box[j] for j in range(self.n)):",
            "if all(nu[j] == box[j] for j in range(self.n)):",
            ["tests/test_monomial.py", "tests/test_properties.py"]),
+    # MonIdeal.__str__: one name^e table per variable
+    Mutant("display-exponent-one", "src/hmideals/monomial.py",
+           "[{1: name} for name in names]", '[{1: f"{name}^1"} for name in names]',
+           ["tests/test_monomial.py"]),
+    Mutant("display-shared-powers", "src/hmideals/monomial.py",
+           "or p.setdefault(e,", "or powers[0].setdefault(e,",
+           ["tests/test_monomial.py"]),
     # the checks of VSpectrum and spectrum_from_step
     Mutant("vspectrum-positive-cutoff", "src/hmideals/vspectrum.py",
            "if self.cutoff <= 0:", "if self.cutoff < 0:",
@@ -100,6 +107,9 @@ MUTANTS = [
            "points.update(lo1 + lo2 for lo2 in starts2[:k])",
            "points.update(lo1 + lo2 for lo2 in starts2[1:k])",
            ["tests/test_constructors.py", "tests/test_properties.py"]),
+    Mutant("ts-partner", "src/hmideals/constructors.py",
+           "bisect.bisect_left(ends2, beta - hi1)", "bisect.bisect_right(ends2, beta - hi1)",
+           ["tests/test_constructors.py"]),
     # builtin families: each strata rule ends at the last qualifying m
     Mutant("hyperelliptic-strata-end", "src/hmideals/resolution.py",
            "range(2, (g + 3) // 2)", "range(2, (g + 1) // 2)",

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import CutoffExceededError, HypothesisError
+from .errors import CutoffExceededError
 from .rat import fmt_rat, parse_int, parse_rat
 
 # Each class is a sum of powers: its --params form, least and most count, least value.
@@ -347,7 +347,7 @@ def run(argv=None, out=None) -> int:
         hint = "" if exc.needed is None else f"; rerun with --cutoff >= {fmt_rat(exc.needed)}"
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 3
-    except (ValueError, HypothesisError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

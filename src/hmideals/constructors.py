@@ -143,8 +143,10 @@ def spectrum_thom_sebastiani(v1: VSpectrum, v2: VSpectrum, cutoff) -> VSpectrum:
 
     For a piece of f the qualifying pieces of g are consecutive and g's
     values descend, so only the first counts: the first piece of g with
-    hi_2 >= beta - hi_1, found by bisection, if lo_1 + lo_2 < beta.  Pieces
-    of f with lo_1 >= beta have no partner.
+    hi_2 >= beta - hi_1, found by bisection.  It always qualifies once
+    lo_1 < beta: its lo_2 is 0 or the end of the piece before it, which is
+    below beta - hi_1, so lo_2 < beta - lo_1 either way.  Pieces of f with
+    lo_1 >= beta have no partner.
 
     Candidate jumps are the sums of one jump of each factor.  A pair of
     pieces leaves at such a sum (or past the cutoff); a pair with f's unit
@@ -175,9 +177,8 @@ def spectrum_thom_sebastiani(v1: VSpectrum, v2: VSpectrum, cutoff) -> VSpectrum:
             # beta - hi1 never passes the last end of g's pieces: that end
             # is g's cutoff, or follows g's first jump past the cutoff, and
             # the probe is at most f's first jump plus that jump.
-            lo2, _, b = pieces2[bisect.bisect_left(ends2, beta - hi1)]
-            if lo1 + lo2 < beta:
-                gens += [g + h for g in a.gens for h in b.gens]
+            _, _, b = pieces2[bisect.bisect_left(ends2, beta - hi1)]
+            gens += [g + h for g in a.gens for h in b.gens]
         return MonIdeal(n, tuple(gens))
 
     # The sums of jumps up to the cutoff, then the first sum past it, which

@@ -194,10 +194,15 @@ class MonIdeal(Frozen):
         return cls(json_int(data["n"], "'n'"), gens)
 
     def __str__(self):
+        """Generators x-first (descending lex; storage stays ascending) in
+        x, y, z for n <= 3 and z1..zn otherwise; the unit ideal shows (1)."""
         if self.is_zero():
             return "(0)"
-        # display x-first (descending lex); storage stays ascending
-        return "(" + ", ".join(format_monomial(g) for g in reversed(self.gens)) + ")"
+        names = "xyz"[:self.n] if self.n <= 3 else [f"z{i + 1}" for i in range(self.n)]
+        powers = [{1: name} for name in names]  # per variable, each name^e made once
+        return "(" + ", ".join([
+            "*".join([p.get(e) or p.setdefault(e, f"{p[1]}^{e}") for p, e in zip(powers, g) if e])
+            or "1" for g in reversed(self.gens)]) + ")"
 
 
 def _minimalize(gens, n: int) -> tuple:
@@ -323,19 +328,3 @@ def compositions(total: int, parts: int):
         for rest in compositions(total - head, parts - 1):
             yield (head,) + rest
 
-
-def var_names(n: int):
-    """x, y, z for n <= 3; z1..zn otherwise."""
-    if n <= 3:
-        return ["x", "y", "z"][:n]
-    return [f"z{i + 1}" for i in range(n)]
-
-
-def format_monomial(exp: ExpVec) -> str:
-    parts = []
-    for name, e in zip(var_names(len(exp)), exp):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"

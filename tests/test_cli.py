@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hmideals.cli import _int_arg, make_parser, run
+from hmideals.cli import _int_arg, build_spectrum, make_parser, run
 from test_traced_names import bench_literal
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -216,6 +216,9 @@ class TestExitCodes:
     def test_unknown_class(self):
         code, _ = invoke("spectrum", "--class", "generic", "--params", "2")
         assert code == 2
+        # argparse refuses it first; the library call makes its own check
+        with pytest.raises(ValueError, match="unknown spectrum class 'generic'"):
+            build_spectrum("generic", [2])
 
     def test_cutoff_exceeded(self, capsys):
         code, text = invoke(
@@ -290,6 +293,14 @@ class TestInputErrors:
         assert code == 2 and text == ""
         assert capsys.readouterr().err == (
             "error: --strata takes m:codim pairs, e.g. 2:3,3:5\n")
+
+    def test_file_bounds_without_strata(self, tmp_path, capsys):
+        p = tmp_path / "res.json"
+        p.write_text(json.dumps({"components": [{"label": "E", "e": 2, "k": 1}]}))
+        code, text = invoke("resolution", "--file", str(p), "bounds")
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            "error: bounds needs stratum data (--strata or a builtin)\n")
 
     def test_strata_with_builtin(self, capsys):
         code, text = invoke("resolution", "--builtin", "secant(3)", "bounds", "--strata", "2:3")

@@ -533,3 +533,24 @@ class TestQDivisor:
         for coeffs in [(F(3, 2),), (F(5, 3), F(1, 2)), (F(7, 4), 2)]:
             out = qdivisor_ideal(coeffs, 1, F(-1, 2))
             assert out.divisorial_part() == (0,) * len(coeffs)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: spectrum_diagonal((2, 3), 0), "cutoff must be positive"),
+    (lambda: spectrum_diagonal((2, 3), F(-1, 2)), "cutoff must be positive"),
+    (lambda: spectrum_ordinary_fermat(1, 3, 1), "need n >= 2 and m >= 2"),
+    (lambda: spectrum_ordinary_fermat(3, 1, 1), "need n >= 2 and m >= 2"),
+    (lambda: spectrum_thom_sebastiani(spectrum_one_var(2, 2), spectrum_one_var(3, 2), 0),
+     "cutoff must be positive"),
+    (lambda: nc_ideal((0, 0), 1, F(-1, 2)), "some multiplicity must be positive"),
+    (lambda: nc_ideal((1, 1), -1, F(-1, 2)), "k must be a natural number"),
+    (lambda: power_scale_check((1,), 0, 1, -1), "p must be >= 1"),
+    (lambda: qdivisor_ideal((F(-1, 2), 1), 1, -1), "coefficients must be >= 0"),
+    (lambda: qdivisor_ideal((0, 0), 1, -1), "some coefficient must be positive"),
+    (lambda: qdivisor_ideal((1, 1), 1, F(1, 2)), "alpha must be <= 0"),
+], ids=["diagonal-zero-cutoff", "diagonal-negative-cutoff", "fermat-n", "fermat-m",
+        "ts-zero-cutoff", "nc-all-zero", "nc-negative-k", "power-scale-p",
+        "qdivisor-negative", "qdivisor-all-zero", "qdivisor-positive-alpha"])
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

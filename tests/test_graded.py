@@ -73,6 +73,8 @@ class TestHilbertCoeff:
     def test_rejects_bad_input(self, n, m):
         with pytest.raises(ValueError, match="need n >= 1 and m >= 2"):
             kernel_coeff(n, m, 0)
+        with pytest.raises(ValueError, match="need n >= 1 and m >= 2"):
+            milnor_hilbert(n, m)
 
 
 class TestGdimOrdinary:
@@ -93,6 +95,11 @@ class TestGdimOrdinary:
         # G_{k,alpha} = 0 when k - alpha < n/m
         assert gdim_ordinary(4, 3, 1, 0) == 0
         assert gdim_ordinary(5, 2, 2, 0) == 0
+
+    def test_shift_below_level_zero(self):
+        # alpha = 1 shifts (0, 1) to (-2, -1): no level below 0
+        assert gdim_ordinary(3, 3, 0, 1) == 0
+        assert gdim_ordinary(3, 3, 1, F(4, 3)) == 0
 
 
 class TestHodge:
@@ -169,6 +176,10 @@ class TestCriteria:
     def test_min_exponent_upper(self):
         strata = StrataData(((2, 3), (3, 5)))
         assert min_exponent_upper(strata) == F(3, 2)
+
+    def test_min_exponent_upper_rejects_empty_strata(self):
+        with pytest.raises(ValueError, match="empty strata"):
+            min_exponent_upper(StrataData(()))
 
 
 class TestStrataValidation:

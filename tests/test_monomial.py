@@ -13,11 +13,9 @@ from hmideals.monomial import (
     MonIdeal,
     _sweep,
     divides,
-    format_monomial,
     max_ideal_power,
     squarefree_ideal,
     unit_ideal,
-    var_names,
 )
 
 from oracles import packed_minimalize, packed_subset, pairwise_minimalize, pairwise_subset
@@ -97,7 +95,7 @@ class TestColength:
         from math import comb
 
         for n in (1, 2, 3):
-            for q in (1, 2, 3, 4):
+            for q in (0, 1, 2, 3, 4):
                 assert max_ideal_power(n, q).colength() == comb(n + q - 1, n)
 
     def test_cusp_value(self):
@@ -194,16 +192,32 @@ class TestSerialization:
 
     def test_display(self):
         assert str(I(2, (2, 0), (1, 1), (0, 3))) == "(x^2, x*y, y^3)"
+        assert str(I(2, (2, 0), (0, 2))) == "(x^2, y^2)"  # one exponent, two names
         assert str(unit_ideal(2)) == "(1)"
         assert str(I(2)) == "(0)"
 
-    def test_format_monomial(self):
-        assert format_monomial((0, 0)) == "1"
-        assert format_monomial((1, 2)) == "x*y^2"
+    def test_display_names(self):
+        # x, y, z up to three variables, z1..zn beyond; exponent 1 is the bare name
+        assert str(I(3, (1, 0, 0), (0, 1, 0), (0, 0, 1))) == "(x, y, z)"
+        assert str(I(4, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))) == (
+            "(z1, z2, z3, z4)")
+        assert str(I(2, (1, 2))) == "(x*y^2)"
 
-    def test_var_names(self):
-        assert var_names(3) == ["x", "y", "z"]
-        assert var_names(4) == ["z1", "z2", "z3", "z4"]
+    def test_display_huge_exponent(self):
+        # no table up to the largest exponent: this returns at once
+        assert str(MonIdeal(1, ((10**9,),))) == "(x^1000000000)"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: I(2, (1, 0)).contains((1,)), DimensionError, "vector length 1 != 2"),
+    (lambda: I(2, (1, 0)) + I(3, (1, 0, 0)), DimensionError, "variable counts differ: 2 != 3"),
+    (lambda: I(2, (1, 0)) ** -1, ValueError, "negative ideal power"),
+    (lambda: I(2).divisorial_part(), ValueError, "zero ideal has no divisorial part"),
+    (lambda: max_ideal_power(2, -1), ValueError, "negative power of the maximal ideal"),
+], ids=["contains-length", "sum-counts", "negative-power", "zero-divisorial", "negative-max-power"])
+def test_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_principal_ideal():

@@ -201,6 +201,10 @@ class TestWeightedNcLocal:
         with pytest.raises(ValueError):
             weighted_nc_local((1, 1), F(1, 2), 0)
 
+    def test_ell_range_enforced(self):
+        with pytest.raises(ValueError, match="ell must be >= -1"):
+            weighted_nc_local((1, 1), -1, -2)
+
 
 class TestSerialization:
     def test_round_trip(self, cusp_res, tmp_path):

@@ -251,6 +251,10 @@ class TestDerived:
     def test_minimal_exponent(self, cusp):
         assert cusp.minimal_exponent() == F(5, 6)
 
+    def test_minimal_exponent_needs_a_jump(self):
+        with pytest.raises(ValueError, match="no jump up to cutoff 1/2"):
+            spectrum_diagonal((2, 3), F(1, 2)).minimal_exponent()
+
     def test_graded_dim_cusp(self, cusp):
         assert cusp.graded_dim(1, F(-1, 6)) == 1
         assert cusp.graded_dim(1, F(-1, 2)) == 0
