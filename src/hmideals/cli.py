@@ -88,12 +88,11 @@ def cmd_spectrum(args, out):
 def cmd_ideal(args, out):
     if args.k < 0:
         raise ValueError("k must be >= 0")
-    m_vec = _exponents(args.klass, args.params)
     # hmi_twisted reads beta = k - alpha <= k + 1, or in (k, k + 1] once
     # alpha < -1 is twisted into [-1, 0)
     cutoff = args.k + 1 if args.cutoff is None else args.cutoff
     spect = build_spectrum(args.klass, args.params, cutoff)
-    f_exps = m_vec if args.klass == "power" else None
+    f_exps = tuple(args.params) if args.klass == "power" else None
     twisted = spect.hmi_twisted(args.k, args.alpha, f_exps)
     if args.json:
         _write_json(twisted.to_json(), out)

@@ -19,7 +19,6 @@ from operator import add, itemgetter, le
 
 from .errors import DimensionError
 from .frozen import Frozen
-from .rat import json_int
 
 ExpVec = tuple
 
@@ -187,11 +186,6 @@ class MonIdeal(Frozen):
 
     def to_json(self) -> dict:
         return {"n": self.n, "gens": [list(g) for g in self.gens]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MonIdeal":
-        gens = tuple(tuple(json_int(x, "a 'gens' entry") for x in g) for g in data["gens"])
-        return cls(json_int(data["n"], "'n'"), gens)
 
     def __str__(self):
         """Generators x-first (descending lex; storage stays ascending) in

@@ -34,13 +34,6 @@ def json_int(value, field: str) -> int:
     return value
 
 
-def json_rat(value, field: str) -> Fraction:
-    """parse_rat(value) when value is a string; otherwise a ValueError naming field."""
-    if not isinstance(value, str):
-        raise ValueError(f"{field} must be a string p/q, got {value!r}")
-    return parse_rat(value)
-
-
 def parse_rat(text: str) -> Fraction:
     """Parse "p/q" with q > 0, or an integer "p"."""
     num, slash, den = text.partition("/")

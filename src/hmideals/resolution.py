@@ -59,7 +59,7 @@ class ResolutionData(Frozen):
 
     @classmethod
     def build(cls, components, maximal_intersections=None):
-        comps = tuple(Component(*c) if not isinstance(c, Component) else c for c in components)
+        comps = tuple(components)
         if maximal_intersections is None:
             maximal_intersections = [tuple(range(len(comps)))]
         lattice = frozenset(frozenset(j) for j in maximal_intersections)

@@ -19,7 +19,7 @@ from operator import itemgetter
 from .errors import CutoffExceededError
 from .frozen import Frozen
 from .monomial import MonIdeal, unit_ideal
-from .rat import fmt_rat, json_int, json_rat
+from .rat import fmt_rat
 
 
 class VSpectrum(Frozen):
@@ -140,17 +140,6 @@ class VSpectrum(Frozen):
                 {"beta": fmt_rat(b), "ideal": ideal.to_json()} for b, ideal in self.jumps
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "VSpectrum":
-        return cls(
-            json_int(data["n"], "'n'"),
-            json_rat(data["cutoff"], "'cutoff'"),
-            tuple(
-                (json_rat(j["beta"], "'beta'"), MonIdeal.from_json(j["ideal"]))
-                for j in data["jumps"]
-            ),
-        )
 
 
 class HMIdeal(Frozen):

