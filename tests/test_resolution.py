@@ -219,6 +219,37 @@ class TestSerialization:
         p.write_text(json.dumps(blob))
         assert ResolutionData.load(p) == cusp_res
 
+    # the only JSON reader left: each malformed field is named in the message
+    @pytest.mark.parametrize("change, message", [
+        (None, "resolution data must be a JSON object"),
+        ({"components": 5}, "'components' must be a list of JSON objects"),
+        ({"components": [1]}, "'components' must be a list of JSON objects"),
+        ({"label": 1}, "component 'label' must be a string"),
+        ({"exceptional": "false"}, "component 'exceptional' must be true or false"),
+        ({"e": 1.9}, "component 'e' must be an integer, got 1.9"),
+        ({"e": True}, "component 'e' must be an integer, got True"),
+        ({"e": None}, "component 'e' must be an integer, got None"),
+        ({"k": 2.7}, "component 'k' must be an integer, got 2.7"),
+        ({"k": "1"}, "component 'k' must be an integer, got '1'"),
+        ({"maximal_intersections": [[0.0]]},
+         "'maximal_intersections' must be a list of lists of indices"),
+        ({"maximal_intersections": [0]},
+         "'maximal_intersections' must be a list of lists of indices"),
+    ], ids=["top-level-list", "components-not-list", "component-not-object",
+            "label-not-string", "exceptional-string", "float-e", "bool-e", "null-e",
+            "float-k", "string-k", "float-index", "index-not-list"])
+    def test_malformed_field_rejected(self, change, message):
+        comp = {"label": "E", "e": 2, "k": 1}
+        if change is None:
+            data = [comp]
+        elif "components" in change or "maximal_intersections" in change:
+            data = {"components": [comp], **change}
+        else:
+            data = {"components": [{**comp, **change}]}
+        with pytest.raises(ValueError) as exc:
+            ResolutionData.from_json(data)
+        assert str(exc.value) == message
+
     def test_bad_multiplicity_rejected(self):
         with pytest.raises(ValueError):
             Component("E", 0, 0)
